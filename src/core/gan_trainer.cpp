@@ -2,10 +2,34 @@
 
 #include <algorithm>
 
+#include "core/tournament.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
 
 namespace ltfb::core {
+
+namespace {
+
+/// Rows [begin, begin + rows) of a batch.
+data::Batch slice_batch(const data::Batch& batch, std::size_t begin,
+                        std::size_t rows) {
+  LTFB_CHECK(rows > 0 && begin + rows <= batch.size());
+  data::Batch shard;
+  auto slice = [&](const tensor::Tensor& src, tensor::Tensor& dst) {
+    const std::size_t width = src.cols();
+    dst.resize({rows, width});
+    std::copy_n(src.raw() + begin * width, rows * width, dst.raw());
+  };
+  slice(batch.inputs, shard.inputs);
+  slice(batch.scalars, shard.scalars);
+  slice(batch.images, shard.images);
+  slice(batch.outputs, shard.outputs);
+  const auto first = batch.ids.begin() + static_cast<std::ptrdiff_t>(begin);
+  shard.ids.assign(first, first + static_cast<std::ptrdiff_t>(rows));
+  return shard;
+}
+
+}  // namespace
 
 gan::EvalMetrics evaluate_gan(gan::CycleGan& model,
                               const data::Dataset& dataset,
@@ -40,7 +64,8 @@ GanTrainer::GanTrainer(int trainer_id, gan::CycleGanConfig model_config,
                        const data::Dataset& dataset,
                        std::vector<std::size_t> train_view,
                        std::vector<std::size_t> tournament_view,
-                       std::size_t batch_size, std::uint64_t seed)
+                       std::size_t batch_size, std::uint64_t seed,
+                       int shard_rank, int shard_count)
     : id_(trainer_id),
       model_(std::move(model_config),
              util::derive_seed(seed, "model",
@@ -55,13 +80,27 @@ GanTrainer::GanTrainer(int trainer_id, gan::CycleGanConfig model_config,
       train_size_(reader_.batches_per_epoch() * batch_size) {
   LTFB_CHECK_MSG(!tournament_view_.empty(),
                  "trainer " << trainer_id << " has no tournament set");
+  LTFB_CHECK_MSG(shard_count > 0 && shard_rank >= 0 &&
+                     shard_rank < shard_count,
+                 "shard rank " << shard_rank << " outside [0, " << shard_count
+                               << ")");
+  const auto count = static_cast<std::size_t>(shard_count);
+  LTFB_CHECK_MSG(batch_size % count == 0,
+                 "batch size must divide evenly across a trainer's ranks");
+  shard_rows_ = batch_size / count;
+  shard_begin_ = static_cast<std::size_t>(shard_rank) * shard_rows_;
+}
+
+data::Batch GanTrainer::next_batch() {
+  data::Batch batch = reader_.next();
+  if (shard_rows_ == batch_size_) return batch;
+  return slice_batch(batch, shard_begin_, shard_rows_);
 }
 
 void GanTrainer::pretrain_autoencoder(std::size_t steps) {
   LTFB_SPAN("trainer/pretrain");
   for (std::size_t s = 0; s < steps; ++s) {
-    const data::Batch batch = reader_.next();
-    model_.pretrain_autoencoder_step(batch);
+    model_.pretrain_autoencoder_step(next_batch());
   }
 }
 
@@ -70,23 +109,18 @@ gan::StepMetrics GanTrainer::train_steps(std::size_t steps) {
   gan::StepMetrics last{};
   for (std::size_t s = 0; s < steps; ++s) {
     LTFB_TIMED_SCOPE("trainer/step");
-    const data::Batch batch = reader_.next();
-    last = model_.train_step(batch);
+    last = model_.train_step(next_batch());
     ++steps_;
   }
   return last;
-}
-
-double GanTrainer::tournament_score() {
-  return evaluate_gan(model_, *dataset_, tournament_view_, batch_size_)
-      .total();
 }
 
 double GanTrainer::score_candidate_generator(
     std::span<const float> candidate) {
   const std::vector<float> saved = model_.generator_weights();
   model_.load_generator_weights(candidate);
-  const double score = tournament_score();
+  const double score =
+      tournament_score(*this, TournamentMetric::ForwardInverse);
   model_.load_generator_weights(saved);
   return score;
 }

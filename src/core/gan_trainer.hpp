@@ -2,10 +2,11 @@
 // a mini-batch reader over its private partition of the training data, and
 // a local tournament hold-out set (Sec. III-A, III-C).
 //
-// In the paper a trainer is 4 nodes / 16 GPUs of Lassen; here it is a
-// logical object that the LTFB drivers step. The data-parallel dimension
-// *within* a trainer is exercised separately via nn::allreduce_gradients
-// over a trainer communicator (see core/ltfb_comm.hpp and the tests).
+// In the paper a trainer is 4 nodes / 16 GPUs of Lassen; here it is the
+// state every LTFB driver steps. A GanTrainer may also be one rank's part
+// of a data-parallel trainer: every rank draws the same global mini-batch
+// and trains on its own row shard, with gradients averaged through the
+// set_gradient_sync / set_backward_hook seams (see core/ltfb_comm.hpp).
 #pragma once
 
 #include <cstdint>
@@ -43,11 +44,14 @@ struct GanTrainerState {
 class GanTrainer {
  public:
   /// `train_view` — this trainer's partition of the training set;
-  /// `tournament_view` — its local held-out tournament set.
+  /// `tournament_view` — its local held-out tournament set;
+  /// `batch_size` — the trainer's global mini-batch. Rank `shard_rank` of
+  /// a trainer spread over `shard_count` ranks trains on rows
+  /// [shard_rank, shard_rank + 1) * batch_size / shard_count of each batch.
   GanTrainer(int trainer_id, gan::CycleGanConfig model_config,
              const data::Dataset& dataset, std::vector<std::size_t> train_view,
              std::vector<std::size_t> tournament_view, std::size_t batch_size,
-             std::uint64_t seed);
+             std::uint64_t seed, int shard_rank = 0, int shard_count = 1);
 
   int id() const noexcept { return id_; }
   gan::CycleGan& model() noexcept { return model_; }
@@ -62,12 +66,9 @@ class GanTrainer {
   /// `steps` full GAN training steps on the local partition.
   gan::StepMetrics train_steps(std::size_t steps);
 
-  /// The tournament metric on the local tournament set: forward + inverse
-  /// validation loss, lower is better (Sec. IV-D).
-  double tournament_score();
-
   /// Scores an arbitrary candidate weight vector (a partner's generator)
-  /// on the local tournament set without clobbering the current model.
+  /// on the local tournament set — forward + inverse validation loss,
+  /// lower is better (Sec. IV-D) — without clobbering the current model.
   double score_candidate_generator(std::span<const float> generator);
 
   const data::Dataset& dataset() const noexcept { return *dataset_; }
@@ -94,6 +95,9 @@ class GanTrainer {
   }
 
  private:
+  /// This rank's rows of the next global mini-batch.
+  data::Batch next_batch();
+
   int id_;
   gan::CycleGan model_;
   const data::Dataset* dataset_;
@@ -101,6 +105,8 @@ class GanTrainer {
   data::MiniBatchReader reader_;
   std::size_t batch_size_;
   std::size_t train_size_;
+  std::size_t shard_begin_ = 0;  // this rank's rows of each global batch
+  std::size_t shard_rows_ = 0;
   std::size_t steps_ = 0;
 };
 

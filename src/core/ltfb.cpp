@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <limits>
-#include <numeric>
 
 #include "core/population_checkpoint.hpp"
 #include "telemetry/telemetry.hpp"
@@ -11,44 +10,6 @@
 #include "util/table.hpp"
 
 namespace ltfb::core {
-
-std::vector<std::pair<int, int>> tournament_pairs(std::size_t n,
-                                                  std::uint64_t seed,
-                                                  std::size_t round) {
-  std::vector<int> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  util::Rng rng(util::derive_seed(seed, round, 0x9a1bull));
-  rng.shuffle(order);
-  std::vector<std::pair<int, int>> pairs;
-  pairs.reserve(n / 2);
-  for (std::size_t i = 0; i + 1 < n; i += 2) {
-    pairs.emplace_back(order[i], order[i + 1]);
-  }
-  return pairs;
-}
-
-namespace {
-
-/// Flattened model snapshot respecting the exchange scope.
-std::vector<float> snapshot(const gan::CycleGan& model, ExchangeScope scope) {
-  std::vector<float> flat = model.generator_weights();
-  if (scope == ExchangeScope::FullModel) {
-    const auto disc = model.discriminator_weights();
-    flat.insert(flat.end(), disc.begin(), disc.end());
-  }
-  return flat;
-}
-
-void restore(gan::CycleGan& model, std::span<const float> flat,
-             ExchangeScope scope) {
-  const std::size_t gen = model.generator_parameter_count();
-  model.load_generator_weights(flat.subspan(0, gen));
-  if (scope == ExchangeScope::FullModel) {
-    model.load_discriminator_weights(flat.subspan(gen));
-  }
-}
-
-}  // namespace
 
 LocalLtfbDriver::LocalLtfbDriver(
     std::vector<std::unique_ptr<GanTrainer>> trainers, LtfbConfig config)
@@ -82,17 +43,6 @@ LocalLtfbDriver::LocalLtfbDriver(
 GanTrainer& LocalLtfbDriver::trainer(std::size_t index) {
   LTFB_CHECK(index < trainers_.size());
   return *trainers_[index];
-}
-
-double LocalLtfbDriver::metric_score(GanTrainer& trainer) {
-  const gan::EvalMetrics m =
-      evaluate_gan(trainer.model(), trainer.dataset(),
-                   trainer.tournament_view(), trainer.batch_size());
-  double score = m.total();
-  if (config_.metric == TournamentMetric::ForwardInverseAdversarial) {
-    score += m.generator_adversarial;
-  }
-  return score;
 }
 
 void LocalLtfbDriver::pretrain() {
@@ -137,42 +87,30 @@ const RoundRecord& LocalLtfbDriver::run_round() {
   for (const auto& [a, b] : pairs) {
     GanTrainer& ta = *trainers_[static_cast<std::size_t>(a)];
     GanTrainer& tb = *trainers_[static_cast<std::size_t>(b)];
-    const std::vector<float> wa = snapshot(ta.model(), config_.scope);
-    const std::vector<float> wb = snapshot(tb.model(), config_.scope);
-
+    const std::vector<float> wa = exchange_payload(ta.model(), config_.scope);
+    const std::vector<float> wb = exchange_payload(tb.model(), config_.scope);
     const float lr_a = ta.model().learning_rate();
     const float lr_b = tb.model().learning_rate();
-    auto duel = [&](GanTrainer& local, const std::vector<float>& own,
-                    const std::vector<float>& received, float partner_lr,
-                    TrainerRoundStat& stat) {
-      stat.own_score = metric_score(local);
-      restore(local.model(), received, config_.scope);
-      stat.partner_score = metric_score(local);
-      if (stat.partner_score < stat.own_score) {
-        stat.adopted_partner = true;  // keep the received model
-        LTFB_COUNTER_ADD("ltfb/adoptions", 1);
-        if (config_.lr_perturbation > 0.0f) {
-          // PBT exploit/explore: inherit the winner's learning rate with a
-          // deterministic perturbation.
-          util::Rng rng(util::derive_seed(
-              config_.pairing_seed, round_counter_,
-              static_cast<std::uint64_t>(local.id())));
-          const float factor = static_cast<float>(
-              rng.uniform(1.0 - config_.lr_perturbation,
-                          1.0 + config_.lr_perturbation));
-          local.model().set_learning_rate(partner_lr * factor);
-        }
-      } else {
-        restore(local.model(), own, config_.scope);
+
+    auto side = [&](GanTrainer& local, const std::vector<float>& own,
+                    const std::vector<float>& received, int partner_id,
+                    float partner_lr, TrainerRoundStat& stat) {
+      stat.partner_id = partner_id;
+      if (duel(local, own, received, config_.scope, config_.metric, stat) &&
+          config_.lr_perturbation > 0.0f) {
+        // PBT exploit/explore: inherit the winner's learning rate with a
+        // deterministic perturbation.
+        util::Rng rng(util::derive_seed(
+            config_.pairing_seed, round_counter_,
+            static_cast<std::uint64_t>(local.id())));
+        const float factor = static_cast<float>(
+            rng.uniform(1.0 - config_.lr_perturbation,
+                        1.0 + config_.lr_perturbation));
+        local.model().set_learning_rate(partner_lr * factor);
       }
     };
-
-    auto& stat_a = record.stats[static_cast<std::size_t>(a)];
-    auto& stat_b = record.stats[static_cast<std::size_t>(b)];
-    stat_a.partner_id = tb.id();
-    stat_b.partner_id = ta.id();
-    duel(ta, wa, wb, lr_b, stat_a);
-    duel(tb, wb, wa, lr_a, stat_b);
+    side(ta, wa, wb, tb.id(), lr_b, record.stats[static_cast<std::size_t>(a)]);
+    side(tb, wb, wa, ta.id(), lr_a, record.stats[static_cast<std::size_t>(b)]);
   }
 
   ++round_counter_;
@@ -220,19 +158,7 @@ void LocalLtfbDriver::save_checkpoint(const std::string& path) const {
 
 std::size_t LocalLtfbDriver::best_trainer(
     const std::vector<std::size_t>& validation_view, std::size_t batch_size) {
-  std::size_t best = 0;
-  double best_loss = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < trainers_.size(); ++i) {
-    const double loss =
-        evaluate_gan(trainers_[i]->model(), trainers_[i]->dataset(),
-                     validation_view, batch_size)
-            .total();
-    if (loss < best_loss) {
-      best_loss = loss;
-      best = i;
-    }
-  }
-  return best;
+  return core::best_trainer(trainers_, validation_view, batch_size);
 }
 
 bool export_history_csv(const std::vector<RoundRecord>& history,
@@ -320,19 +246,7 @@ void KIndependentDriver::run() {
 
 std::size_t KIndependentDriver::best_trainer(
     const std::vector<std::size_t>& validation_view, std::size_t batch_size) {
-  std::size_t best = 0;
-  double best_loss = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < trainers_.size(); ++i) {
-    const double loss =
-        evaluate_gan(trainers_[i]->model(), trainers_[i]->dataset(),
-                     validation_view, batch_size)
-            .total();
-    if (loss < best_loss) {
-      best_loss = loss;
-      best = i;
-    }
-  }
-  return best;
+  return core::best_trainer(trainers_, validation_view, batch_size);
 }
 
 }  // namespace ltfb::core

@@ -13,36 +13,25 @@
 // exchanged; discriminators stay local, acting as a panel of independent
 // teachers. Full-model exchange is retained as an ablation.
 //
-// Two drivers share this logic:
+// Three drivers host GanTrainers and share one tournament engine
+// (core/tournament.hpp: pairing, exchange payload, score, duel):
 //   * LocalLtfbDriver — deterministic single-thread lockstep over in-process
 //     trainers (used by the quality benches, Figs. 12/13).
 //   * run_distributed_ltfb (ltfb_comm.hpp) — rank-parallel trainers over
 //     ltfb::comm with data parallelism inside each trainer (LBANN's shape).
+//   * run_elastic_ltfb (scheduler.hpp) — single-rank trainers whose
+//     population grows, shrinks and migrates at round boundaries.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/gan_trainer.hpp"
+#include "core/tournament.hpp"
 
 namespace ltfb::core {
-
-/// What a tournament exchanges.
-enum class ExchangeScope {
-  GeneratorOnly,  // paper default for GANs: E, Dec, F, G — not the critic
-  FullModel       // ablation: critic travels too
-};
-
-/// What the local tournament evaluates.
-enum class TournamentMetric {
-  ForwardInverse,  // forward + inverse validation loss (Sec. IV quality metric)
-  ForwardInverseAdversarial  // additionally charge the generator the BCE it
-                             // incurs against the LOCAL critic (Fig. 6 flavour)
-};
 
 struct LtfbConfig {
   std::size_t steps_per_round = 50;  // mini-batch steps between tournaments
@@ -55,7 +44,9 @@ struct LtfbConfig {
   /// population-based-training cousin the paper cites): when a trainer
   /// adopts its partner's model it also inherits the partner's learning
   /// rate, perturbed by a factor in [1-x, 1+x] — exploit plus explore.
-  /// 0 disables (the paper's LTFB keeps hyperparameters fixed).
+  /// 0 disables (the paper's LTFB keeps hyperparameters fixed). Only
+  /// LocalLtfbDriver applies it: the comm exchange carries weights, not the
+  /// partner's learning rate, so the distributed drivers reject non-zero.
   float lr_perturbation = 0.0f;
   /// Population checkpointing: when `checkpoint_every` > 0, the driver
   /// writes a v2 population checkpoint to `checkpoint_path` after every K
@@ -68,23 +59,6 @@ struct LtfbConfig {
   /// the recorded round. The restarted history is bit-identical to an
   /// uninterrupted run.
   std::string resume_from;
-};
-
-/// Deterministic random pairing for a round: a seeded permutation of
-/// [0, n), paired consecutively. With odd n the last trainer sits out.
-std::vector<std::pair<int, int>> tournament_pairs(std::size_t n,
-                                                  std::uint64_t seed,
-                                                  std::size_t round);
-
-struct TrainerRoundStat {
-  int trainer_id = 0;
-  int partner_id = -1;          // -1 when sitting out
-  double own_score = 0.0;       // tournament metric of the local model
-  double partner_score = 0.0;   // tournament metric of the received model
-  bool adopted_partner = false;
-  /// True when the paired partner died mid-tournament (distributed runs):
-  /// the survivor kept its own model and the round counts as degraded.
-  bool partner_failed = false;
 };
 
 struct RoundRecord {
@@ -140,8 +114,6 @@ class LocalLtfbDriver {
   bool resumed() const noexcept { return resumed_; }
 
  private:
-  double metric_score(GanTrainer& trainer);
-
   std::vector<std::unique_ptr<GanTrainer>> trainers_;
   LtfbConfig config_;
   std::vector<RoundRecord> history_;

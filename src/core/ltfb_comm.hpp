@@ -8,14 +8,16 @@
 // the trainer's other ranks.
 //
 // Every rank calls run_distributed_ltfb with the same configuration; the
-// function is collective over `world`.
+// function is collective over `world`. Each rank hosts a GanTrainer over
+// its row shard of the trainer's mini-batch; the tournament steps (partner
+// lookup, exchange, duel) come from the shared engine in
+// core/tournament.hpp.
 //
-// Fault tolerance (comm_timeout > 0): tournaments are survivor-aware.
-// When a partner's leader dies mid-exchange (RankFailedError) or stalls
-// past the deadline (TimeoutError), the survivor keeps its own model, the
-// round is recorded as degraded (stat.partner_failed), and the leader
-// communicator is shrunk ULFM-style so the next round pairs only live
-// trainers. A failure *inside* a trainer (gradient all-reduce or winner
+// Fault tolerance: tournaments are survivor-aware. When a partner's leader
+// dies mid-exchange (RankFailedError) or stalls past the deadline
+// (TimeoutError), the survivor keeps its own model, the round is recorded
+// as degraded (stat.partner_failed), and the leader communicator is shrunk
+// ULFM-style so the next round pairs only live trainers. A failure *inside* a trainer (gradient all-reduce or winner
 // broadcast hitting a dead rank) is unrecoverable for that trainer: its
 // surviving ranks return early with outcome.aborted set, and the rest of
 // the population routes around them. Injected faults (ltfb::comm::
@@ -37,16 +39,11 @@ struct DistributedLtfbConfig {
   LtfbConfig ltfb;
   gan::CycleGanConfig model;
   std::uint64_t seed = 1;
-  /// Deadline for tournament exchanges and survivor agreement. Zero runs
-  /// the legacy lockstep protocol: no deadlines, no shrink, any failure
-  /// propagates (fail-stop) — appropriate when the substrate is trusted.
+  /// Deadline for tournament exchanges and gradient all-reduces; must be
+  /// positive. The post-round survivor agreement (Communicator::shrink)
+  /// gets 4x this budget: a dead rank's partner only reaches the rendezvous
+  /// after waiting out its own exchange.
   std::chrono::milliseconds comm_timeout{60'000};
-  /// Deadline for the post-round survivor agreement (Communicator::shrink).
-  /// Zero derives the legacy default of 4x comm_timeout: a dead rank's
-  /// partner only reaches the rendezvous after waiting out its own
-  /// exchange, so the shrink budget must dominate the exchange budget.
-  /// Ignored in legacy lockstep mode (comm_timeout == 0).
-  std::chrono::milliseconds shrink_timeout{0};
   /// When `checkpoint_every` > 0, each trainer's leader writes its slot to
   /// `<checkpoint_dir>/trainer_<id>.pop` (population checkpoint v2, atomic)
   /// after every K completed rounds.
@@ -82,7 +79,8 @@ struct DistributedLtfbOutcome {
 };
 
 /// Collective over `world`; world size must be a multiple of
-/// ranks_per_trainer. Returns per-rank outcome (scores are computed on the
+/// ranks_per_trainer. Throws ltfb::InvalidArgument when comm_timeout is not
+/// positive or ltfb.lr_perturbation is non-zero. Returns per-rank outcome (scores are computed on the
 /// leader and broadcast inside each trainer, so all ranks agree).
 DistributedLtfbOutcome run_distributed_ltfb(
     comm::Communicator& world, const data::Dataset& dataset,

@@ -10,7 +10,6 @@
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace ltfb::core {
 
@@ -511,37 +510,14 @@ void SchedulerClient::ack(const SchedulerEnvelope& envelope,
 namespace {
 
 /// One rank's live trainer (single-rank trainers: the whole model and the
-/// whole mini-batch live here).
+/// whole mini-batch live here) plus its elastic bookkeeping.
 struct HostedTrainer {
-  int id = -1;
+  GanTrainer trainer;
+  std::vector<std::size_t> train_view;  // churn-invariant shard manifest
   std::uint64_t joined_round = 0;
-  std::uint64_t steps = 0;
   std::uint64_t tournaments_won = 0;
   std::uint64_t adoptions = 0;
-  std::vector<std::size_t> train_view;
-  std::vector<std::size_t> tournament_view;
-  std::optional<gan::CycleGan> model;
-  std::optional<data::MiniBatchReader> reader;
 };
-
-std::vector<float> snapshot_weights(const gan::CycleGan& model,
-                                    ExchangeScope scope) {
-  std::vector<float> flat = model.generator_weights();
-  if (scope == ExchangeScope::FullModel) {
-    const auto disc = model.discriminator_weights();
-    flat.insert(flat.end(), disc.begin(), disc.end());
-  }
-  return flat;
-}
-
-void restore_weights(gan::CycleGan& model, std::span<const float> flat,
-                     ExchangeScope scope) {
-  const std::size_t gen = model.generator_parameter_count();
-  model.load_generator_weights(flat.subspan(0, gen));
-  if (scope == ExchangeScope::FullModel) {
-    model.load_discriminator_weights(flat.subspan(gen));
-  }
-}
 
 comm::Buffer encode_round_stat(const TrainerRoundStat& stat) {
   comm::Serializer s;
@@ -597,6 +573,9 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
   LTFB_CHECK_MSG(config.comm_timeout.count() > 0,
                  "elastic LTFB is deadline-based: comm_timeout must be > 0");
   LTFB_CHECK_MSG(config.batch_size > 0, "batch size must be positive");
+  LTFB_CHECK_MSG(config.ltfb.lr_perturbation == 0.0f,
+                 "lr_perturbation is applied by LocalLtfbDriver only: the "
+                 "tournament exchange carries weights, not learning rates");
   const int initial = config.initial_trainers > 0 ? config.initial_trainers
                                                   : world.size();
   LTFB_CHECK_MSG(initial > 0 && initial <= world.size(),
@@ -612,10 +591,9 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
                            ? world.rank()
                            : -1);
 
-  const std::chrono::milliseconds exchange_deadline = config.comm_timeout;
-  const std::chrono::milliseconds ack_deadline =
-      config.ack_timeout.count() > 0 ? config.ack_timeout
-                                     : config.comm_timeout;
+  // One budget bounds exchanges, migration payloads, stat collection and
+  // command acks.
+  const std::chrono::milliseconds deadline = config.comm_timeout;
 
   // Churn schedule: an explicit config wins; otherwise the environment
   // drives unmodified binaries (the same LTFB_FAULT_SCHEDULE variable the
@@ -641,7 +619,7 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
   ClusterMetricsAggregator aggregator(
       {.timeseries_path = std::move(timeseries_path),
        .live_progress = config.live_progress,
-       .gather_deadline = exchange_deadline,
+       .gather_deadline = deadline,
        .world_size = world.size(),
        .world_rank = world.rank()});
 
@@ -653,99 +631,27 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
 
   auto make_hosted = [&](int id, std::uint64_t joined_round,
                          bool fresh) -> HostedTrainer {
-    HostedTrainer h;
-    h.id = id;
-    h.joined_round = joined_round;
-    h.train_view = data::partition_indices(
+    std::vector<std::size_t> train_view = data::partition_indices(
         splits.train, static_cast<std::size_t>(max_trainers),
         static_cast<std::size_t>(id));
-    h.tournament_view = data::partition_indices(
+    std::vector<std::size_t> tournament_view = data::partition_indices(
         splits.tournament, static_cast<std::size_t>(max_trainers),
         static_cast<std::size_t>(id));
-    LTFB_CHECK_MSG(!h.train_view.empty() && !h.tournament_view.empty(),
+    LTFB_CHECK_MSG(!train_view.empty() && !tournament_view.empty(),
                    "trainer " << id << " has an empty data partition (shrink "
                               << "max_trainers or grow the dataset)");
-    h.model.emplace(config.model,
-                    util::derive_seed(config.seed, "model",
-                                      static_cast<std::uint64_t>(id)));
-    h.reader.emplace(dataset, h.train_view, config.batch_size,
-                     util::derive_seed(config.seed, "reader",
-                                       static_cast<std::uint64_t>(id)),
-                     /*drop_last=*/true);
+    HostedTrainer h{GanTrainer(id, config.model, dataset, train_view,
+                               std::move(tournament_view), config.batch_size,
+                               config.seed),
+                    std::move(train_view), joined_round};
     if (fresh) {
       // Deterministic warm-up: a trainer joining at round N runs the same
       // pretraining a round-0 trainer does, so its trajectory is a pure
       // function of (id, seed, steps) regardless of when or where it
       // starts.
-      for (std::size_t s = 0; s < config.ltfb.pretrain_steps; ++s) {
-        h.model->pretrain_autoencoder_step(h.reader->next());
-      }
+      h.trainer.pretrain_autoencoder(config.ltfb.pretrain_steps);
     }
     return h;
-  };
-
-  auto capture_slot = [&](const HostedTrainer& h, int dst_rank,
-                          std::uint64_t round) {
-    PopulationCheckpoint ckpt;
-    ckpt.round = round;
-    ckpt.pairing_seed = config.ltfb.pairing_seed;
-    TrainerSlot slot;
-    slot.trainer.trainer_id = h.id;
-    slot.trainer.learning_rate = h.model->learning_rate();
-    slot.trainer.steps = h.steps;
-    slot.trainer.reader_epoch = h.reader->epoch();
-    slot.trainer.reader_cursor = h.reader->cursor();
-    slot.trainer.generator = h.model->generator_weights();
-    slot.trainer.discriminator = h.model->discriminator_weights();
-    slot.trainer.optimizer_state = h.model->optimizer_state();
-    slot.tournaments_won = h.tournaments_won;
-    slot.adoptions = h.adoptions;
-    slot.host_rank = dst_rank;
-    slot.joined_round = h.joined_round;
-    slot.shard_manifest.assign(h.train_view.begin(), h.train_view.end());
-    ckpt.trainers.push_back(std::move(slot));
-    return ckpt;
-  };
-
-  auto restore_hosted = [&](const TrainerSlot& slot) -> HostedTrainer {
-    HostedTrainer h =
-        make_hosted(slot.trainer.trainer_id, slot.joined_round,
-                    /*fresh=*/false);
-    // The shard is churn-invariant (fixed max_trainers denominator); the
-    // manifest in the payload must therefore reproduce exactly what this
-    // rank derives locally — a mismatch means the two ends disagree about
-    // the partition geometry and the trainer would silently train on the
-    // wrong data.
-    LTFB_CHECK_MSG(
-        slot.shard_manifest.size() == h.train_view.size() &&
-            std::equal(slot.shard_manifest.begin(), slot.shard_manifest.end(),
-                       h.train_view.begin(),
-                       [](std::uint64_t a, std::size_t b) {
-                         return a == static_cast<std::uint64_t>(b);
-                       }),
-        "migrated shard manifest does not match the churn-invariant "
-        "partition of trainer "
-            << slot.trainer.trainer_id);
-    h.model->load_generator_weights(slot.trainer.generator);
-    h.model->load_discriminator_weights(slot.trainer.discriminator);
-    h.model->load_optimizer_state(slot.trainer.optimizer_state);
-    h.model->set_learning_rate(slot.trainer.learning_rate);
-    h.reader->restore(static_cast<std::size_t>(slot.trainer.reader_epoch),
-                      static_cast<std::size_t>(slot.trainer.reader_cursor));
-    h.steps = slot.trainer.steps;
-    h.tournaments_won = slot.tournaments_won;
-    h.adoptions = slot.adoptions;
-    return h;
-  };
-
-  auto local_score = [&](HostedTrainer& h) {
-    const gan::EvalMetrics m =
-        evaluate_gan(*h.model, dataset, h.tournament_view, config.batch_size);
-    double score = m.total();
-    if (config.ltfb.metric == TournamentMetric::ForwardInverseAdversarial) {
-      score += m.generator_adversarial;
-    }
-    return score;
   };
 
   // -- initial population ------------------------------------------------------
@@ -761,12 +667,12 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
   if (world.rank() == 0) {
     sched.emplace(world, initial_roster, churn,
                   ElasticScheduler::Options{
-                      .ack_deadline = ack_deadline,
+                      .ack_deadline = deadline,
                       .max_trainers = max_trainers,
                       .straggler_policy = config.straggler_policy,
                       .straggler_ratio = config.straggler_ratio});
   }
-  SchedulerClient client(world, 0, ack_deadline);
+  SchedulerClient client(world, 0, deadline);
 
   // Every rank's view of the population; refreshed from each boundary
   // envelope (the scheduler's copy is authoritative, envelopes replicate
@@ -797,7 +703,7 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
             if (cmd.dst_rank == world.rank()) {
               LTFB_CHECK_MSG(!hosted, "rank " << world.rank()
                                               << " already hosts trainer "
-                                              << hosted->id);
+                                              << hosted->trainer.id());
               hosted = make_hosted(cmd.trainer_id, env.round, /*fresh=*/true);
               LTFB_COUNTER_ADD("sched/trainers_started", 1);
             }
@@ -805,21 +711,31 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
           case SchedulerCommandKind::StopTrainer:
           case SchedulerCommandKind::Shrink:
             if (cmd.src_rank == world.rank()) {
-              LTFB_CHECK_MSG(hosted && hosted->id == cmd.trainer_id,
-                             "stop for trainer " << cmd.trainer_id
-                                                 << " but rank hosts "
-                                                 << (hosted ? hosted->id : -1));
+              LTFB_CHECK_MSG(hosted && hosted->trainer.id() == cmd.trainer_id,
+                             "stop for trainer "
+                                 << cmd.trainer_id << " but rank hosts "
+                                 << (hosted ? hosted->trainer.id() : -1));
               hosted.reset();
               LTFB_COUNTER_ADD("sched/trainers_stopped", 1);
             }
             break;
           case SchedulerCommandKind::MigrateTrainer: {
             if (cmd.src_rank == world.rank()) {
-              LTFB_CHECK_MSG(hosted && hosted->id == cmd.trainer_id,
+              LTFB_CHECK_MSG(hosted && hosted->trainer.id() == cmd.trainer_id,
                              "migrate source mismatch for trainer "
                                  << cmd.trainer_id);
-              const PopulationCheckpoint ckpt =
-                  capture_slot(*hosted, cmd.dst_rank, env.round);
+              PopulationCheckpoint ckpt;
+              ckpt.round = env.round;
+              ckpt.pairing_seed = config.ltfb.pairing_seed;
+              TrainerSlot slot;
+              slot.trainer = hosted->trainer.capture_state();
+              slot.tournaments_won = hosted->tournaments_won;
+              slot.adoptions = hosted->adoptions;
+              slot.host_rank = cmd.dst_rank;
+              slot.joined_round = hosted->joined_round;
+              slot.shard_manifest.assign(hosted->train_view.begin(),
+                                         hosted->train_view.end());
+              ckpt.trainers.push_back(std::move(slot));
               const int xfer_tag = sched_xfer_tag(env.round);
               world.send(cmd.dst_rank, xfer_tag,
                          encode_population_checkpoint(ckpt));
@@ -827,11 +743,12 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
               LTFB_COUNTER_ADD("sched/migrations_sent", 1);
             }
             if (cmd.dst_rank == world.rank()) {
-              LTFB_CHECK_MSG(!hosted, "migrate destination already hosts "
-                                          << (hosted ? hosted->id : -1));
+              LTFB_CHECK_MSG(!hosted,
+                             "migrate destination already hosts "
+                                 << (hosted ? hosted->trainer.id() : -1));
               const int xfer_tag = sched_xfer_tag(env.round);
               const comm::Buffer payload =
-                  world.recv(cmd.src_rank, xfer_tag, exchange_deadline);
+                  world.recv(cmd.src_rank, xfer_tag, deadline);
               const PopulationCheckpoint ckpt = decode_population_checkpoint(
                   payload.data(), payload.size(),
                   "migration payload for trainer " +
@@ -843,7 +760,30 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
                                  << cmd.trainer_id);
               LTFB_CHECK_MSG(ckpt.pairing_seed == config.ltfb.pairing_seed,
                              "migration payload pairing seed mismatch");
-              hosted = restore_hosted(ckpt.trainers.front());
+              const TrainerSlot& slot = ckpt.trainers.front();
+              HostedTrainer h =
+                  make_hosted(cmd.trainer_id, slot.joined_round,
+                              /*fresh=*/false);
+              // The shard is churn-invariant (fixed max_trainers
+              // denominator); the manifest in the payload must therefore
+              // reproduce exactly what this rank derives locally — a
+              // mismatch means the two ends disagree about the partition
+              // geometry and the trainer would silently train on the
+              // wrong data.
+              LTFB_CHECK_MSG(
+                  std::equal(slot.shard_manifest.begin(),
+                             slot.shard_manifest.end(), h.train_view.begin(),
+                             h.train_view.end(),
+                             [](std::uint64_t a, std::size_t b) {
+                               return a == static_cast<std::uint64_t>(b);
+                             }),
+                  "migrated shard manifest does not match the "
+                  "churn-invariant partition of trainer "
+                      << cmd.trainer_id);
+              h.trainer.restore_state(slot.trainer);
+              h.tournaments_won = slot.tournaments_won;
+              h.adoptions = slot.adoptions;
+              hosted = std::move(h);
               LTFB_COUNTER_ADD("sched/migrations_received", 1);
             }
             break;
@@ -903,11 +843,7 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
     // so a training step can never lose a peer).
     if (hosted) {
       LTFB_SPAN("ltfb/train_phase");
-      for (std::size_t s = 0; s < config.ltfb.steps_per_round; ++s) {
-        LTFB_TIMED_SCOPE("trainer/step");
-        hosted->model->train_step(hosted->reader->next());
-        ++hosted->steps;
-      }
+      hosted->trainer.train_steps(config.ltfb.steps_per_round);
     }
 
     // Tournament among the active trainers: deterministic re-pairing over
@@ -917,63 +853,20 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
     bool have_stat = false;
     if (hosted) {
       LTFB_SPAN("ltfb/tournament");
-      stat.trainer_id = hosted->id;
+      stat.trainer_id = hosted->trainer.id();
       have_stat = true;
       std::vector<int> active;
       for (const auto& [trainer, host] : roster) active.push_back(trainer);
-      std::size_t my_pos = active.size();
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        if (active[i] == hosted->id) my_pos = i;
-      }
-      LTFB_CHECK_MSG(my_pos < active.size(),
-                     "hosted trainer " << hosted->id << " missing from the "
-                                       << "roster this rank just applied");
-      const auto pairs =
-          tournament_pairs(active.size(), config.ltfb.pairing_seed, round);
-      std::size_t partner_pos = active.size();
-      for (const auto& [a, b] : pairs) {
-        if (static_cast<std::size_t>(a) == my_pos) {
-          partner_pos = static_cast<std::size_t>(b);
-        }
-        if (static_cast<std::size_t>(b) == my_pos) {
-          partner_pos = static_cast<std::size_t>(a);
-        }
-      }
-      if (partner_pos < active.size()) {
-        stat.partner_id = active[partner_pos];
-        const int partner_host = roster.at(active[partner_pos]);
-        const std::vector<float> own =
-            snapshot_weights(*hosted->model, config.ltfb.scope);
-        try {
-          comm::Buffer received;
-          {
-            LTFB_SPAN("ltfb/exchange");
-            const int round_tag = static_cast<int>(round);
-            received = world.sendrecv(partner_host, round_tag,
-                                      comm::Serializer::pack_floats(own),
-                                      exchange_deadline);
-          }
-          const std::vector<float> candidate =
-              comm::Deserializer::unpack_floats(received);
-          stat.own_score = local_score(*hosted);
-          restore_weights(*hosted->model, candidate, config.ltfb.scope);
-          stat.partner_score = local_score(*hosted);
-          if (stat.partner_score < stat.own_score) {
-            stat.adopted_partner = true;
-            ++hosted->adoptions;
-            LTFB_COUNTER_ADD("ltfb/adoptions", 1);
-          } else {
-            restore_weights(*hosted->model, own, config.ltfb.scope);
-            ++hosted->tournaments_won;
-          }
-        } catch (const RankFailedError&) {
-          stat.partner_failed = true;
-          LTFB_COUNTER_ADD("ltfb/faults_detected", 1);
-          LTFB_COUNTER_ADD("ltfb/rounds_degraded", 1);
-        } catch (const TimeoutError&) {
-          stat.partner_failed = true;
-          LTFB_COUNTER_ADD("ltfb/faults_detected", 1);
-          LTFB_COUNTER_ADD("ltfb/rounds_degraded", 1);
+      stat.partner_id = tournament_partner(active, stat.trainer_id,
+                                           config.ltfb.pairing_seed, round);
+      if (stat.partner_id >= 0) {
+        exchange_and_duel(world, roster.at(stat.partner_id),
+                          static_cast<int>(round), deadline, hosted->trainer,
+                          config.ltfb.scope, config.ltfb.metric, stat);
+        if (stat.adopted_partner) {
+          ++hosted->adoptions;
+        } else if (!stat.partner_failed) {
+          ++hosted->tournaments_won;
         }
       }
     }
@@ -994,7 +887,7 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
         try {
           const int stat_tag = sched_stat_tag(round);
           const comm::Buffer payload =
-              world.recv(host, stat_tag, exchange_deadline);
+              world.recv(host, stat_tag, deadline);
           round_stats.push_back(decode_round_stat(payload));
         } catch (const RankFailedError&) {
           sched->note_lost_trainer(trainer);
@@ -1030,24 +923,25 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
   // -- final results -----------------------------------------------------------
   ElasticTrainerResult own_result;
   if (hosted) {
-    own_result.trainer_id = hosted->id;
+    own_result.trainer_id = hosted->trainer.id();
     own_result.host_rank = world.rank();
-    own_result.steps = hosted->steps;
+    own_result.steps = hosted->trainer.steps_taken();
     own_result.tournaments_won = hosted->tournaments_won;
     own_result.adoptions = hosted->adoptions;
-    own_result.final_tournament_score = local_score(*hosted);
+    own_result.final_tournament_score =
+        tournament_score(hosted->trainer, config.ltfb.metric);
     own_result.final_validation_loss =
-        evaluate_gan(*hosted->model, dataset, splits.validation,
+        evaluate_gan(hosted->trainer.model(), dataset, splits.validation,
                      config.batch_size)
             .total();
     outcome.hosting_final = true;
-    outcome.final_trainer_id = hosted->id;
+    outcome.final_trainer_id = hosted->trainer.id();
   }
   if (sched) {
     for (const auto& [trainer, host] : roster) {
       if (sched->trainer_pending_lost(trainer)) continue;
       if (host == world.rank()) {
-        if (hosted && hosted->id == trainer) {
+        if (hosted && hosted->trainer.id() == trainer) {
           outcome.results.push_back(own_result);
         }
         continue;
@@ -1055,7 +949,7 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
       try {
         const int result_tag = sched_stat_tag(config.ltfb.rounds);
         const comm::Buffer payload =
-            world.recv(host, result_tag, exchange_deadline);
+            world.recv(host, result_tag, deadline);
         outcome.results.push_back(decode_trainer_result(payload));
       } catch (const RankFailedError&) {
         LTFB_COUNTER_ADD("ltfb/faults_detected", 1);

@@ -278,11 +278,10 @@ struct ElasticLtfbConfig {
   /// Fixed data-partition denominator (trainer ids stay below it, shards
   /// are churn-invariant). 0 selects the world size.
   int max_trainers = 0;
-  /// Deadline for tournament exchanges, migration payloads, and stat
-  /// collection. Must be positive: the elastic protocol is deadline-based.
+  /// Deadline for tournament exchanges, migration payloads, stat
+  /// collection and command acks. Must be positive: the elastic protocol
+  /// is deadline-based.
   std::chrono::milliseconds comm_timeout{60'000};
-  /// Deadline for command acks; 0 derives comm_timeout.
-  std::chrono::milliseconds ack_timeout{0};
   /// Churn schedule (join/leave/migrate events; kill/drop/delay entries
   /// are ignored — the comm layer owns those).
   comm::FaultSchedule churn;
@@ -323,7 +322,10 @@ struct ElasticLtfbOutcome {
 
 /// Collective over `world`: every rank calls it with the same
 /// configuration. Single-rank trainers (one trainer per rank at most);
-/// world rank 0 schedules and may also host trainer 0. The returned
+/// world rank 0 schedules and may also host trainer 0. Each rank hosts its
+/// trainer as a GanTrainer and runs the tournament through the shared
+/// engine (core/tournament.hpp). Throws ltfb::InvalidArgument when
+/// comm_timeout is not positive or ltfb.lr_perturbation is non-zero. The returned
 /// history on rank 0 is bit-identical across replays of the same churn
 /// schedule (see the determinism rules above).
 ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,

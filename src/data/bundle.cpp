@@ -1,5 +1,7 @@
 #include "data/bundle.hpp"
 
+#include <sys/stat.h>
+
 #include <array>
 #include <cstring>
 
@@ -26,6 +28,10 @@ void write_exact(std::FILE* file, const void* data, std::size_t bytes,
     throw ltfb::FormatError(std::string("bundle write failed: ") + what);
   }
 }
+
+struct FileCloser {
+  void operator()(std::FILE* file) const noexcept { std::fclose(file); }
+};
 
 void read_exact(std::FILE* file, void* data, std::size_t bytes,
                 const char* what) {
@@ -99,29 +105,51 @@ void BundleWriter::close() {
 }
 
 BundleReader::BundleReader(const std::filesystem::path& path) {
-  file_ = std::fopen(path.string().c_str(), "rb");
-  if (file_ == nullptr) {
+  // The handle closes itself on every throw below; only a fully validated
+  // reader takes ownership.
+  std::unique_ptr<std::FILE, FileCloser> file(
+      std::fopen(path.string().c_str(), "rb"));
+  if (file == nullptr) {
     throw ltfb::FormatError("cannot open bundle for reading: " +
                             path.string());
   }
   Header header{};
-  read_exact(file_, &header, sizeof(header), "header");
+  read_exact(file.get(), &header, sizeof(header), "header");
   if (header.magic != kMagic) {
-    std::fclose(file_);
-    file_ = nullptr;
     throw ltfb::FormatError("bad bundle magic in " + path.string());
   }
   if (header.version != kBundleFormatVersion) {
-    std::fclose(file_);
-    file_ = nullptr;
     throw ltfb::FormatError("unsupported bundle version in " + path.string());
+  }
+  // The header must describe exactly the bytes on disk: a hostile count or
+  // width otherwise turns into a huge allocation before the first read.
+  // Three u32 widths cannot overflow a u64 record size, and the count is
+  // checked by division so count x record cannot overflow either.
+  struct stat info {};
+  if (::fstat(::fileno(file.get()), &info) != 0) {
+    throw ltfb::FormatError("cannot stat bundle " + path.string());
+  }
+  const auto file_bytes = static_cast<std::uint64_t>(info.st_size);
+  const std::uint64_t record =
+      sizeof(SampleId) +
+      sizeof(float) * (std::uint64_t{header.input_width} +
+                       header.scalar_width + header.image_width);
+  const std::uint64_t payload =
+      file_bytes > sizeof(Header) ? file_bytes - sizeof(Header) : 0;
+  if (payload % record != 0 || payload / record != header.sample_count) {
+    throw ltfb::FormatError(
+        "bundle header claims " + std::to_string(header.sample_count) +
+        " records of " + std::to_string(record) + " bytes but " +
+        path.string() + " holds " + std::to_string(payload) +
+        " payload bytes");
   }
   schema_.input_width = header.input_width;
   schema_.scalar_width = header.scalar_width;
   schema_.image_width = header.image_width;
   count_ = header.sample_count;
-  record_bytes_ = sizeof(SampleId) + sizeof(float) * schema_.total_width();
+  record_bytes_ = record;
   payload_offset_ = static_cast<long>(sizeof(Header));
+  file_ = file.release();
 }
 
 BundleReader::~BundleReader() {

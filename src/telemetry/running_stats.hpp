@@ -1,6 +1,6 @@
 // Numerically stable streaming statistics — the scalar-summary engine
-// behind telemetry timers and gauges (and, via the util/stats.hpp shim,
-// the general-purpose RunningStats the experiment harnesses use).
+// behind telemetry timers and gauges, and the general-purpose RunningStats
+// the experiment harnesses use.
 //
 // Header-only and allocation-free so a snapshot of a hot-path timer can be
 // summarised without touching the registry again.

@@ -67,9 +67,8 @@ namespace ltfb::telemetry {
 // Clock
 // ---------------------------------------------------------------------------
 
-/// Simple wall-clock stopwatch (moved here from util/stopwatch.hpp, which
-/// now aliases it — the telemetry clock and the one users reach for are
-/// the same clock by construction).
+/// Simple wall-clock stopwatch — the telemetry clock and the one users
+/// reach for are the same clock by construction.
 class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}

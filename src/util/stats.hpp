@@ -1,21 +1,12 @@
-// Batch statistics used by experiment harnesses and tests.
-//
-// The streaming RunningStats engine moved to src/telemetry (it is the
-// summary machinery behind telemetry timers); the alias below keeps the
-// util::RunningStats spelling working. What remains here are the
-// data-quality metrics (correlation, error measures, percentiles) — these
-// compare model outputs, not timings, so they stay in util.
+// Batch statistics used by experiment harnesses and tests: data-quality
+// metrics (correlation, error measures, percentiles) that compare model
+// outputs. Streaming mean/variance lives in telemetry/running_stats.hpp.
 #pragma once
 
 #include <span>
 #include <vector>
 
-#include "telemetry/running_stats.hpp"
-
 namespace ltfb::util {
-
-/// Streaming mean/variance/min/max — see telemetry/running_stats.hpp.
-using RunningStats = ::ltfb::telemetry::RunningStats;
 
 /// Pearson correlation coefficient. Returns 0 when either input is constant.
 double pearson(std::span<const float> a, std::span<const float> b);

@@ -22,6 +22,7 @@
 #include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "comm/communicator.hpp"
@@ -70,7 +71,7 @@ int main(int argc, char** argv) {
   std::size_t rounds = 3;
   bool elastic = false;
   bool spawn = false;
-  int comm_timeout_ms = 0;
+  std::optional<int> comm_timeout_ms;  // unset: the library default
   int trainers = -1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -129,7 +130,9 @@ int main(int argc, char** argv) {
     config.ltfb.pretrain_steps = 4;
     config.model = tiny_model();
     config.seed = 60;
-    config.comm_timeout = std::chrono::milliseconds(comm_timeout_ms);
+    if (comm_timeout_ms) {
+      config.comm_timeout = std::chrono::milliseconds(*comm_timeout_ms);
+    }
     const auto statuses = comm::World::spawn_processes(
         ranks, [&](comm::Communicator& world) {
           const auto outcome = core::run_distributed_ltfb(

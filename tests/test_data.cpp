@@ -164,6 +164,61 @@ TEST(Bundle, BadMagicRejected) {
   EXPECT_THROW(BundleReader reader(path), FormatError);
 }
 
+/// A valid 3-sample bundle whose bytes [offset, offset + patch.size())
+/// are then overwritten, or which is cut to `truncate_to` bytes.
+std::filesystem::path tampered_bundle(const std::string& name,
+                                      std::size_t offset,
+                                      const std::vector<char>& patch,
+                                      std::size_t truncate_to = 0) {
+  const auto path = temp_dir(name) / "tampered.ltfb";
+  const auto schema = small_schema();
+  {
+    BundleWriter writer(path, schema);
+    for (SampleId id = 0; id < 3; ++id) writer.append(make_sample(id, schema));
+  }
+  {
+    std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
+    io.seekp(static_cast<std::streamoff>(offset));
+    io.write(patch.data(), static_cast<std::streamsize>(patch.size()));
+  }
+  if (truncate_to > 0) std::filesystem::resize_file(path, truncate_to);
+  return path;
+}
+
+std::vector<char> le_bytes(std::uint64_t value, std::size_t width) {
+  std::vector<char> bytes(width);
+  for (std::size_t i = 0; i < width; ++i) {
+    bytes[i] = static_cast<char>((value >> (8 * i)) & 0xffu);
+  }
+  return bytes;
+}
+
+// Header layout: magic[8], version u32, input/scalar/image widths u32,
+// sample_count u64 at offset 24 — 32 bytes.
+TEST(Bundle, InflatedSampleCountRejected) {
+  const auto path =
+      tampered_bundle("bundle_count", 24, le_bytes(1ull << 60, 8));
+  EXPECT_THROW(BundleReader reader(path), FormatError);
+}
+
+TEST(Bundle, InflatedWidthRejected) {
+  const auto path =
+      tampered_bundle("bundle_width", 12, le_bytes(0xFFFFFFF0u, 4));
+  EXPECT_THROW(BundleReader reader(path), FormatError);
+}
+
+TEST(Bundle, TruncatedPayloadRejected) {
+  const auto full = tampered_bundle("bundle_full", 0, {});
+  const auto bytes = std::filesystem::file_size(full);
+  const auto path = tampered_bundle("bundle_truncated", 0, {}, bytes - 5);
+  EXPECT_THROW(BundleReader reader(path), FormatError);
+}
+
+TEST(Bundle, ShortHeaderRejected) {
+  const auto path = tampered_bundle("bundle_short", 0, {}, 20);
+  EXPECT_THROW(BundleReader reader(path), FormatError);
+}
+
 TEST(Bundle, MissingFileRejected) {
   EXPECT_THROW(BundleReader reader("/nonexistent/nope.ltfb"), FormatError);
 }

@@ -486,9 +486,6 @@ TEST(SurvivorTournament, PopulationRoutesAroundDeadLeader) {
   config.model = tiny_config();
   config.seed = 86;
   config.comm_timeout = kTimeout;
-  // Explicit survivor-agreement budget (default would derive 4x) so the
-  // configurable rendezvous deadline is exercised under a real kill.
-  config.shrink_timeout = 6 * kTimeout;
 
   // Per-rank op sequence (rpt=1): split, split, then per round
   // sendrecv + shrink. Op 4 is rank 2's round-1 exchange: it dies

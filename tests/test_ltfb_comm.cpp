@@ -168,6 +168,23 @@ TEST(DistributedLtfb, InvalidConfigurationThrows) {
       InvalidArgument);
 }
 
+TEST(DistributedLtfb, LrPerturbationRejected) {
+  // Only LocalLtfbDriver applies PBT: the comm exchange carries weights,
+  // not the partner's learning rate, so a non-zero value must not be
+  // silently ignored.
+  const data::Dataset dataset = tiny_dataset(120, 73);
+  const auto splits = data::split_dataset(dataset.size(), 0.7, 0.15, 74);
+  auto config = base_config();
+  config.ltfb.lr_perturbation = 0.2f;
+  EXPECT_THROW(
+      comm::World::run(2,
+                       [&](comm::Communicator& world) {
+                         (void)run_distributed_ltfb(world, dataset, splits,
+                                                    config);
+                       }),
+      InvalidArgument);
+}
+
 TEST(DistributedLtfb, BatchMustDivideAcrossRanks) {
   const data::Dataset dataset = tiny_dataset(120, 71);
   const auto splits = data::split_dataset(dataset.size(), 0.7, 0.15, 72);

@@ -17,7 +17,7 @@
 #include "nn/parallel.hpp"
 #include "tensor/half.hpp"
 #include "tensor/ops.hpp"
-#include "util/stats.hpp"
+#include "telemetry/running_stats.hpp"
 
 namespace {
 
@@ -48,7 +48,7 @@ TEST(Initializer, HeNormalStddev) {
   util::Rng rng(2);
   std::vector<float> w(20000);
   he_normal(rng, 50, w);
-  util::RunningStats stats;
+  telemetry::RunningStats stats;
   for (const float v : w) stats.add(v);
   EXPECT_NEAR(stats.mean(), 0.0, 0.01);
   EXPECT_NEAR(stats.stddev(), std::sqrt(2.0 / 50.0), 0.01);

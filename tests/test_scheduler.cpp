@@ -565,6 +565,27 @@ TEST(ElasticDeterminism, ChurnScheduleReplaysBitIdentically) {
   EXPECT_EQ(first.history[4].stats.size(), 3u);
 }
 
+TEST(ElasticLtfb, LrPerturbationRejected) {
+  // Only LocalLtfbDriver applies PBT: the comm exchange carries weights,
+  // not the partner's learning rate, so a non-zero value must not be
+  // silently ignored.
+  const data::Dataset dataset = tiny_dataset(120, 43);
+  const auto splits = data::split_dataset(dataset.size(), 0.7, 0.15, 44);
+  ElasticLtfbConfig config;
+  config.batch_size = 16;
+  config.ltfb.rounds = 1;
+  config.ltfb.lr_perturbation = 0.2f;
+  config.model = tiny_config();
+  config.comm_timeout = kTimeout;
+  config.churn_from_env = false;
+  EXPECT_THROW(comm::World::run(2,
+                                [&](comm::Communicator& world) {
+                                  (void)run_elastic_ltfb(world, dataset,
+                                                         splits, config);
+                                }),
+               InvalidArgument);
+}
+
 TEST(ElasticDeterminism, MigrationIsPlacementTransparent) {
   const data::Dataset dataset = tiny_dataset(200, 41);
   const auto splits = data::split_dataset(dataset.size(), 0.7, 0.15, 42);

@@ -10,15 +10,15 @@
 #include <set>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "telemetry/running_stats.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
-#include "util/stopwatch.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -26,6 +26,8 @@ namespace {
 
 using namespace ltfb;
 using namespace ltfb::util;
+using telemetry::RunningStats;
+using telemetry::Stopwatch;
 
 // ---- rng --------------------------------------------------------------------
 
@@ -440,12 +442,6 @@ TEST(Stopwatch, MeasuresElapsed) {
   EXPECT_GE(sw.elapsed_seconds(), 0.005);
   sw.reset();
   EXPECT_LT(sw.elapsed_seconds(), 0.5);
-}
-
-TEST(Stopwatch, ShimAliasesTelemetryStopwatch) {
-  // util/stopwatch.hpp is a compatibility shim over the telemetry clock.
-  static_assert(
-      std::is_same_v<util::Stopwatch, ltfb::telemetry::Stopwatch>);
 }
 
 // ---- logger sinks -----------------------------------------------------------

@@ -33,13 +33,10 @@ target, so `ctest` and CI exercise it on every build):
                     src/tensor/simd.hpp: all width dispatch goes through
                     the portable vec<W> wrapper so exactly one file knows
                     the target ISA and the scalar build stays honest.
-  telemetry         src/, bench/ and examples/ must not spell util::Stopwatch
-                    or include util/stopwatch.hpp directly (the shim exists
-                    only for source compatibility; new timing goes through
-                    src/telemetry), and every metric/span name literal handed
-                    to the telemetry macros or Registry registration calls
-                    must follow the subsystem/verb convention
-                    ([a-z0-9_]+ segments joined by '/').
+  telemetry         in src/, bench/ and examples/, every metric/span name
+                    literal handed to the telemetry macros or Registry
+                    registration calls must follow the subsystem/verb
+                    convention ([a-z0-9_]+ segments joined by '/').
 
 The comm-deadline and rank-bind rules that used to live here moved to
 tools/ltfb_static.py, which models them properly (deadline dataflow through
@@ -68,8 +65,8 @@ BANNED_PATTERNS = [
     (re.compile(r"\bstd::rand\b|\bsrand\s*\("), "banned-call",
      "std::rand/srand is banned; use util/rng.hpp (seeded, reproducible)"),
     (re.compile(r"\btime\s*\(\s*(nullptr|NULL|0)\s*\)"), "banned-call",
-     "time(nullptr) is banned; timing comes from util/stopwatch.hpp and "
-     "seeds from util/rng.hpp"),
+     "time(nullptr) is banned; timing comes from telemetry/telemetry.hpp "
+     "and seeds from util/rng.hpp"),
     (re.compile(r"(?<![_\w.])assert\s*\("), "banned-call",
      "assert() is banned; use LTFB_ASSERT (stays live under "
      "LTFB_BOUNDS_CHECK) or LTFB_CHECK"),
@@ -223,14 +220,6 @@ ENTRY_CHECK_MANIFEST = {
          "ClusterMetricsAggregator::ClusterMetricsAggregator"),
     ],
 }
-
-# The stopwatch shim is compatibility-only: new code names the telemetry
-# clock directly. Tests are exempt (they assert the shim aliases correctly);
-# the shim header itself is the one allowed definition site.
-STOPWATCH_TOKEN = re.compile(r"\butil::Stopwatch\b")
-STOPWATCH_INCLUDE = re.compile(
-    r'^[ \t]*#[ \t]*include[ \t]+"util/stopwatch\.hpp"', re.MULTILINE)
-STOPWATCH_ALLOWED = {"src/util/stopwatch.hpp"}
 
 # Metric and span names are registered once and become JSON keys / Perfetto
 # track labels; enforce the subsystem/verb convention at lint time so a typo
@@ -485,21 +474,9 @@ def find_function_bodies(stripped: str, token: str):
         yield m.start(), stripped[i + 1:j], stripped[j:k + 1]
 
 
-def check_telemetry(rel: str, stripped: str, code_with_strings: str,
-                    findings):
+def check_telemetry(rel: str, code_with_strings: str, findings):
     if not rel.startswith(("src/", "bench/", "examples/")):
         return
-    if rel not in STOPWATCH_ALLOWED:
-        for m in STOPWATCH_TOKEN.finditer(stripped):
-            findings.append(Finding(
-                rel, line_of(stripped, m.start()), "telemetry",
-                "util::Stopwatch is a compatibility shim; new code uses "
-                "ltfb::telemetry::Stopwatch (or a telemetry timer/span)"))
-        for m in STOPWATCH_INCLUDE.finditer(code_with_strings):
-            findings.append(Finding(
-                rel, line_of(code_with_strings, m.start()), "telemetry",
-                'include "telemetry/telemetry.hpp" instead of the '
-                '"util/stopwatch.hpp" shim'))
     for m in METRIC_CALL.finditer(code_with_strings):
         name = m.group(1)
         if not METRIC_NAME.match(name):
@@ -647,7 +624,7 @@ def main() -> int:
         check_stdout(rel, stripped, file_findings)
         check_comm_tags(rel, stripped, file_findings)
         check_include_hygiene(root, rel, raw, code_with_strings, file_findings)
-        check_telemetry(rel, stripped, code_with_strings, file_findings)
+        check_telemetry(rel, code_with_strings, file_findings)
         check_isa_dispatch(rel, code_with_strings, file_findings)
         check_matmul_nest(rel, stripped, file_findings)
         check_entry_points(rel, stripped, file_findings)

@@ -521,11 +521,23 @@ def deliver_tag_arg(args: list[str]) -> str | None:
     return fields[2] if len(fields) >= 3 else None
 
 
+def first_tag_const(text: str, tag_const_names: set) -> str | None:
+    """The tag constant spelled earliest in `text` — e.g. the base, not the
+    window, of `kSchedAckTagBase + round % kSchedTagWindow`.  Positional, so
+    the answer never depends on set iteration (string hash) order."""
+    hits = []
+    for name in tag_const_names:
+        m = re.search(rf"\b{re.escape(name)}\b", text)
+        if m:
+            hits.append((m.start(), name))
+    return min(hits)[1] if hits else None
+
+
 def resolve_tag_family(expr: str, fm: FileModel, tag_const_names: set, depth=0):
     norm = normalize_expr(expr)
-    for name in tag_const_names:
-        if re.search(rf"\b{re.escape(name)}\b", expr):
-            return ("const", name)
+    name = first_tag_const(expr, tag_const_names)
+    if name is not None:
+        return ("const", name)
     if depth < 2 and norm in fm.assignments:
         rhs, _ofs = fm.assignments[norm]
         fam = resolve_tag_family(rhs, fm, tag_const_names, depth + 1)
@@ -534,9 +546,9 @@ def resolve_tag_family(expr: str, fm: FileModel, tag_const_names: set, depth=0):
         for cm in CALL_RE.finditer(rhs):
             for ffm, fn in [(fm, f) for f in fm.functions if f.name == cm.group(1)]:
                 body = ffm.text[fn.body_start:fn.body_end]
-                for name in tag_const_names:
-                    if re.search(rf"\b{re.escape(name)}\b", body):
-                        return ("const", name)
+                name = first_tag_const(body, tag_const_names)
+                if name is not None:
+                    return ("const", name)
         return ("local", fm.rel, norm)
     if re.fullmatch(r"[\w.]+(->[\w.]+)*", norm):
         return ("local", fm.rel, norm)
