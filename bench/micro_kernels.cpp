@@ -208,8 +208,9 @@ void record_gemm_scaling_gauges() {
   const double flops = tensor::gemm_flops(kN, kN, kN);
   // Logical traffic per GEMM call: read A and B once, write C once. The
   // blocked kernel re-reads packed tiles from cache, so this is the
-  // algorithmic (compulsory) byte count, not the memory-bus count.
-  const double gemm_bytes = 3.0 * kN * kN * sizeof(float);
+  // algorithmic (compulsory) byte count, not the memory-bus count. Only
+  // the gauges read it, and they compile away under LTFB_TELEMETRY=OFF.
+  [[maybe_unused]] const double gemm_bytes = 3.0 * kN * kN * sizeof(float);
   auto measure = [&](std::size_t threads) {
     util::ComputePool::instance().resize(threads);
     tensor::matmul(a, b, c);  // warm-up (pack buffers, page faults)

@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <string_view>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -15,9 +14,12 @@
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/annotations.hpp"
+#include "util/env.hpp"
 #include "util/rng.hpp"
 
 namespace ltfb::comm {
+
+namespace flight = telemetry::flight;
 
 namespace detail {
 
@@ -83,17 +85,12 @@ bool try_complete(PendingRecv& pending)
     if (matches(*it, pending.comm_id, pending.src_world, pending.tag,
                 pending.group)) {
       // Receive-side flow endpoint, recorded on the receiving thread so
-      // it lands on the receiver's rank track. The thread-local trace
-      // buffer mutex is a leaf under the mailbox mutex held here.
-      telemetry::Registry::instance().record_flow(
-          it->flow_id, telemetry::FlowPhase::End);
-      // Same correlation id into the flight ring: postmortem events and
-      // Chrome-trace flow arrows cross-check by flow id.
-      telemetry::flight::record(telemetry::flight::EventKind::CommRecv,
-                                "comm/recv_match",
-                                static_cast<std::uint64_t>(it->tag),
-                                static_cast<std::uint64_t>(it->world_src),
-                                it->flow_id);
+      // it lands on the receiver's rank track. Lock-free, so recording
+      // under the mailbox mutex held here adds no lock-order edge; the
+      // same event feeds postmortems and the Chrome-trace flow arrow.
+      flight::record(flight::EventKind::CommRecv, "comm/recv_match",
+                     static_cast<std::uint64_t>(it->tag),
+                     static_cast<std::uint64_t>(it->world_src), it->flow_id);
       pending.payload = std::move(it->payload);
       pending.source_world = it->world_src;
       queue.erase(it);
@@ -182,17 +179,16 @@ void Communicator::fault_tick(const char* what) {
   const std::uint64_t op = world_->next_op(me);
   // Every top-level comm op is rank progress: this is the heartbeat the
   // hang watchdog compares pending-op ages against.
-  telemetry::flight::heartbeat();
-  telemetry::flight::record(telemetry::flight::EventKind::CommOp, what, op,
-                            static_cast<std::uint64_t>(me));
+  flight::heartbeat();
+  flight::record(flight::EventKind::CommOp, what, op,
+                 static_cast<std::uint64_t>(me));
   if (world_->faults().empty()) return;
   const std::optional<std::uint64_t> kill = world_->faults().kill_op(me);
   if (kill.has_value() && op >= *kill && !world_->dead(me, me)) {
     world_->finalize_rank(me, /*clean=*/false);
     LTFB_COUNTER_ADD("comm/faults_injected", 1);
-    telemetry::flight::record(telemetry::flight::EventKind::Fault,
-                              "fault/kill_injected", op,
-                              static_cast<std::uint64_t>(me));
+    flight::record(flight::EventKind::Fault, "fault/kill_injected", op,
+                   static_cast<std::uint64_t>(me));
     std::ostringstream oss;
     oss << "injected kill: world rank " << me << " dies at op " << op
         << " (entering " << what << ", scheduled op " << *kill << ")";
@@ -212,8 +208,8 @@ void Request::wait(const Deadline& deadline) {
   LTFB_TIMED_SCOPE("comm/recv_wait");
   // In-flight registration for the watchdog and postmortem dumps: a rank
   // wedged here shows up as a pending "comm/recv_wait" with tag + peer.
-  const telemetry::flight::PendingOp pending_op("comm/recv_wait", state_->tag,
-                                                state_->src_world);
+  const flight::PendingOp pending_op("comm/recv_wait", state_->tag,
+                                     state_->src_world);
   util::MutexLock lock(state_->mailbox->mutex);
   const bool bounded = deadline.bounded();
   const auto expiry = bounded ? deadline.expires_at()
@@ -250,14 +246,13 @@ int Communicator::world_rank_of(int rank) const {
 // fault tick on purpose: an injected kill fires at op entry, and the dying
 // rank's ring must end with the op it was executing for the postmortem to
 // blame it.
-#define LTFB_FLIGHT_OP(name, tag, peer)                                     \
-  ::ltfb::telemetry::flight::record(                                        \
-      ::ltfb::telemetry::flight::EventKind::CommOp, name,                   \
-      static_cast<std::uint64_t>(tag),                                      \
-      static_cast<std::uint64_t>(static_cast<std::int64_t>(                 \
-          ((peer) >= 0 && (peer) < size())                                  \
-              ? group_[static_cast<std::size_t>(peer)]                      \
-              : (peer))))
+#define LTFB_FLIGHT_OP(name, tag, peer)                                \
+  flight::record(flight::EventKind::CommOp, name,                      \
+                 static_cast<std::uint64_t>(tag),                      \
+                 static_cast<std::uint64_t>(static_cast<std::int64_t>( \
+                     ((peer) >= 0 && (peer) < size())                  \
+                         ? group_[static_cast<std::size_t>(peer)]      \
+                         : (peer))))
 
 void Communicator::send(int dst, int tag, const Buffer& payload) {
   LTFB_COMM_GUARD("send");
@@ -277,15 +272,12 @@ void Communicator::send(int dst, int tag, const Buffer& payload) {
   // Send-side flow endpoint, stamped BEFORE drop injection on purpose: a
   // dropped message exports as an unmatched "s" arrow — exactly the visual
   // a lost message should have.
-  std::uint64_t flow_id = 0;
-  if (telemetry::enabled()) {
-    flow_id = world_->next_flow_id(comm_id_, tag, me, world_dst);
-    telemetry::Registry::instance().record_flow(flow_id,
-                                                telemetry::FlowPhase::Start);
-  }
-  telemetry::flight::record(telemetry::flight::EventKind::CommSend,
-                            "comm/send", static_cast<std::uint64_t>(tag),
-                            static_cast<std::uint64_t>(world_dst), flow_id);
+  const std::uint64_t flow_id =
+      telemetry::enabled() ? world_->next_flow_id(comm_id_, tag, me, world_dst)
+                           : 0;
+  flight::record(flight::EventKind::CommSend, "comm/send",
+                 static_cast<std::uint64_t>(tag),
+                 static_cast<std::uint64_t>(world_dst), flow_id);
   // Drop/delay injection applies to user-level messages only (collective
   // traffic goes through internal_send and counts ops, not messages).
   const std::uint64_t msg_index = world_->next_msg(me);
@@ -295,17 +287,15 @@ void Communicator::send(int dst, int tag, const Buffer& payload) {
     if (action != nullptr) {
       if (action->kind == FaultAction::Kind::Drop) {
         LTFB_COUNTER_ADD("comm/messages_dropped", 1);
-        telemetry::flight::record(telemetry::flight::EventKind::Fault,
-                                  "fault/message_dropped",
-                                  static_cast<std::uint64_t>(tag),
-                                  static_cast<std::uint64_t>(world_dst));
+        flight::record(flight::EventKind::Fault, "fault/message_dropped",
+                       static_cast<std::uint64_t>(tag),
+                       static_cast<std::uint64_t>(world_dst));
         return;  // silently lost; the receiver sees a timeout
       }
       LTFB_COUNTER_ADD("comm/messages_delayed", 1);
-      telemetry::flight::record(telemetry::flight::EventKind::Fault,
-                                "fault/message_delayed",
-                                static_cast<std::uint64_t>(tag),
-                                static_cast<std::uint64_t>(world_dst));
+      flight::record(flight::EventKind::Fault, "fault/message_delayed",
+                     static_cast<std::uint64_t>(tag),
+                     static_cast<std::uint64_t>(world_dst));
       std::this_thread::sleep_for(std::chrono::milliseconds(action->delay_ms));
     }
   }
@@ -394,16 +384,13 @@ void internal_send(Backend& world, const std::vector<int>& group, int my_rank,
   }
   // Collective hops carry flow ids too: the exporter's arrows are what
   // make join points (who straggled into the allreduce) visible.
-  std::uint64_t flow_id = 0;
-  if (telemetry::enabled()) {
-    flow_id = world.next_flow_id(comm_id, tag, world_src, world_dst);
-    telemetry::Registry::instance().record_flow(flow_id,
-                                                telemetry::FlowPhase::Start);
-  }
-  telemetry::flight::record(telemetry::flight::EventKind::CommSend,
-                            "comm/collective_send",
-                            static_cast<std::uint64_t>(tag),
-                            static_cast<std::uint64_t>(world_dst), flow_id);
+  const std::uint64_t flow_id =
+      telemetry::enabled()
+          ? world.next_flow_id(comm_id, tag, world_src, world_dst)
+          : 0;
+  flight::record(flight::EventKind::CommSend, "comm/collective_send",
+                 static_cast<std::uint64_t>(tag),
+                 static_cast<std::uint64_t>(world_dst), flow_id);
   world.deliver(world_src, world_dst,
                 detail::Envelope{world_src, comm_id, tag, payload, flow_id});
 }
@@ -423,8 +410,8 @@ Buffer internal_recv(Backend& world, const std::vector<int>& group,
   pending.backend = &world;
   pending.self_world = self;
   pending.collective = true;
-  const telemetry::flight::PendingOp pending_op("comm/collective_recv", tag,
-                                                pending.src_world);
+  const flight::PendingOp pending_op("comm/collective_recv", tag,
+                                     pending.src_world);
   util::MutexLock lock(mailbox.mutex);
   for (;;) {
     if (pending.done || detail::try_complete(pending)) break;
@@ -851,7 +838,7 @@ std::vector<std::exception_ptr> World::run_ranks(
   // Arm the flight recorder / watchdog / crash handler if the environment
   // asks for them — run_ranks is the in-process entry point mirroring what
   // spawned children do in spawn_socket_mesh.
-  telemetry::flight::init_from_env();
+  flight::init_from_env();
   const int n = size();
   std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
@@ -875,8 +862,8 @@ std::vector<std::exception_ptr> World::run_ranks(
         // The FaultInjected (and friends) unwind path: the dying rank's
         // rings, span stack, and pending ops go to postmortem_rank<N>.json
         // while they are still live.
-        if (telemetry::flight::enabled()) {
-          telemetry::flight::write_postmortem(
+        if (flight::enabled()) {
+          flight::write_postmortem(
               unwind_kind(), "World::run_ranks rank unwound", rank);
         }
       }
@@ -901,11 +888,9 @@ namespace {
 /// started pre-fork would leave children believing one is already
 /// running — so the flag is read directly).
 bool spawn_postmortems_enabled() {
-  const char* flag = std::getenv("LTFB_POSTMORTEM_DIR");
-  if (flag != nullptr && flag[0] != '\0') return true;
-  flag = std::getenv("LTFB_FLIGHT_RECORDER");
-  return flag != nullptr && flag[0] != '\0' &&
-         std::string_view(flag) != "0";
+  const char* dir = std::getenv("LTFB_POSTMORTEM_DIR");
+  return (dir != nullptr && dir[0] != '\0') ||
+         util::env_flag("LTFB_FLIGHT_RECORDER");
 }
 
 std::filesystem::path spawn_postmortem_dir() {
@@ -1012,9 +997,8 @@ std::vector<World::ProcessStatus> World::spawn_processes(
         } catch (...) {
           backend->finalize_rank(rank, /*clean=*/false);
           const char* kind = unwind_kind();
-          if (telemetry::flight::enabled()) {
-            telemetry::flight::write_postmortem(
-                kind, "spawned rank unwound", rank);
+          if (flight::enabled()) {
+            flight::write_postmortem(kind, "spawned rank unwound", rank);
           }
           try {
             throw;

@@ -1,13 +1,12 @@
 #include "nn/optimizer.hpp"
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "telemetry/telemetry.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/simd.hpp"
 #include "util/compute_pool.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace ltfb::nn {
@@ -242,8 +241,7 @@ OptimizerFactory make_loss_scaling_factory(
 }
 
 bool mixed_precision_from_env() {
-  const char* value = std::getenv("LTFB_MIXED_PRECISION");
-  return value != nullptr && *value != '\0' && std::strcmp(value, "0") != 0;
+  return util::env_flag("LTFB_MIXED_PRECISION");
 }
 
 }  // namespace ltfb::nn

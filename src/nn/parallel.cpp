@@ -297,8 +297,8 @@ void GradientBucketer::complete(Bucket& bucket) {
   LTFB_COUNTER_ADD("nn/allreduce_bytes", bucket.data.size() * sizeof(float));
   if (telemetry::enabled()) {
     const std::uint64_t end_ns = telemetry::now_ns();
-    telemetry::Registry::instance().record_span(
-        "nn/allreduce_overlap", end_ns - std::min(end_ns, window), window);
+    telemetry::record_interval("nn/allreduce_overlap",
+                               end_ns - std::min(end_ns, window), end_ns);
   }
 }
 

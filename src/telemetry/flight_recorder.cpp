@@ -13,10 +13,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <mutex>
+#include <new>
+#include <span>
 #include <string_view>
 #include <thread>
 
+#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -47,29 +51,148 @@ struct Event {
   std::atomic<std::uint64_t> b{0};
   std::atomic<std::uint64_t> c{0};
   std::atomic<std::uint8_t> kind{0};
+  std::atomic<std::int32_t> rank{-1};  // fits the padding after `kind`
 };
+static_assert(sizeof(Event) == 48, "rank must ride in Event's padding");
 
 struct SpanFrame {
   std::atomic<const char*> name{nullptr};
   std::atomic<std::uint64_t> start_ns{0};
 };
 
+struct Track;
+
 struct ThreadState {
   std::atomic<bool> active{false};  // currently claimed by a live thread
   std::atomic<bool> used{false};    // ever claimed since the last reclaim
   std::atomic<std::uint64_t> head{0};
+  // Open spans; only the outermost kMaxSpanDepth have a stored frame.
   std::atomic<std::uint32_t> depth{0};
-  std::atomic<std::uint32_t> overflow_spans{0};  // frames past kMaxSpanDepth
-  std::atomic<int> rank{-1};
   std::atomic<unsigned long> tid{0};
   std::atomic<char> name[kThreadNameLen]{};
   Event ring[kRingSize];
   SpanFrame stack[kMaxSpanDepth];
+  /// The occupant's trace retention; touched by the occupant only.
+  Track* track = nullptr;
 };
 
 ThreadState g_threads[kMaxThreads];
 std::atomic<std::uint64_t> g_dropped{0};
 std::atomic<std::uint64_t> g_heartbeats[kHeartbeatSlots];
+
+// Trace retention: while tracing is on, each thread also appends its span
+// and flow events to heap chunks (single producer; a release store of the
+// count publishes). Readers and clear_trace() hold Registry's export mutex.
+
+struct TraceEvent {
+  std::uint64_t ts_ns;
+  const char* name;
+  std::uint64_t flow;
+  std::int32_t rank;
+  EventKind kind;
+};
+
+struct Chunk {
+  static constexpr std::uint32_t kEvents = 512;
+  std::atomic<std::uint32_t> count{0};
+  std::atomic<Chunk*> newer{nullptr};  // linked only once this one is full
+  TraceEvent events[kEvents];
+};
+
+/// One thread's retained events for one trace generation. Owned by its
+/// thread until released — at thread exit, or at the thread's first traced
+/// event after a clear_trace() — and only then freed, by the next clear.
+struct Track {
+  std::uint32_t tid = 0;  // Chrome-trace track id
+  std::uint64_t gen = 0;
+  const ThreadState* slot = nullptr;  // thread name source while owned
+  std::atomic<bool> owned{true};
+  char final_name[kThreadNameLen] = {};
+  std::atomic<Chunk*> oldest{nullptr};
+  Chunk* newest = nullptr;    // owner only
+  std::uint64_t records = 0;  // owner only: spans + flows admitted
+  Track* next = nullptr;
+};
+
+std::atomic<Track*> g_tracks{nullptr};
+std::atomic<std::uint64_t> g_trace_gen{1};
+std::atomic<std::uint32_t> g_next_tid{1};
+
+void load_name(const std::atomic<char> (&cells)[kThreadNameLen],
+               char (&out)[kThreadNameLen]) noexcept {
+  for (int i = 0; i < kThreadNameLen; ++i) {
+    out[i] = cells[i].load(std::memory_order_relaxed);
+  }
+  out[kThreadNameLen - 1] = '\0';
+}
+
+void push_track(Track* track) noexcept {
+  track->next = g_tracks.load(std::memory_order_relaxed);
+  while (!g_tracks.compare_exchange_weak(track->next, track,
+                                         std::memory_order_release,
+                                         std::memory_order_relaxed)) {
+  }
+}
+
+/// Hands the thread's track to the next clear_trace(), keeping its name
+/// (the slot's name cells pass to the slot's next occupant).
+void release_track(ThreadState& ts) noexcept {
+  if (ts.track == nullptr) return;
+  load_name(ts.name, ts.track->final_name);
+  ts.track->owned.store(false, std::memory_order_release);
+  ts.track = nullptr;
+}
+
+/// The thread's track for this trace generation; nullptr when out of memory.
+Track* current_track(ThreadState& ts) noexcept {
+  const std::uint64_t gen = g_trace_gen.load(std::memory_order_acquire);
+  if (ts.track != nullptr && ts.track->gen == gen) return ts.track;
+  release_track(ts);
+  ts.track = new (std::nothrow) Track;
+  if (ts.track == nullptr) return nullptr;
+  ts.track->tid = g_next_tid.fetch_add(1, std::memory_order_relaxed);
+  ts.track->gen = gen;
+  ts.track->slot = &ts;
+  push_track(ts.track);
+  return ts.track;
+}
+
+/// Whether tracing retains the thread's next span or flow endpoint,
+/// counting it against kTraceCapPerThread or as a drop.
+bool admit(ThreadState& ts) noexcept {
+  if (!telemetry::enabled()) return false;
+  Track* track = current_track(ts);
+  if (track == nullptr || track->records >= kTraceCapPerThread) {
+    telemetry::detail::g_trace_dropped.fetch_add(1,
+                                                 std::memory_order_relaxed);
+    return false;
+  }
+  ++track->records;
+  return true;
+}
+
+void retain(ThreadState& ts, const TraceEvent& event) noexcept {
+  Track* track = current_track(ts);
+  if (track == nullptr) return;
+  Chunk* chunk = track->newest;
+  std::uint32_t n = chunk != nullptr
+                        ? chunk->count.load(std::memory_order_relaxed)
+                        : Chunk::kEvents;
+  if (n == Chunk::kEvents) {
+    auto* fresh = new (std::nothrow) Chunk;
+    if (fresh == nullptr) {
+      telemetry::detail::g_trace_dropped.fetch_add(1,
+                                                   std::memory_order_relaxed);
+      return;
+    }
+    (chunk != nullptr ? chunk->newer : track->oldest)
+        .store(fresh, std::memory_order_release);
+    track->newest = chunk = fresh;
+    n = 0;
+  }
+  chunk->events[n] = event;
+  chunk->count.store(n + 1, std::memory_order_release);
+}
 
 struct PendingSlot {
   // 0 = free, 1 = being written by the claimer, 2 = active (published).
@@ -115,14 +238,6 @@ unsigned long current_tid() noexcept {
   return static_cast<unsigned long>(::syscall(SYS_gettid));
 }
 
-void store_dir(const char* dir) noexcept {
-  int i = 0;
-  for (; i < kMaxDirLen && dir[i] != '\0'; ++i) {
-    g_postmortem_dir[i].store(dir[i], std::memory_order_relaxed);
-  }
-  g_postmortem_dir[i].store('\0', std::memory_order_release);
-}
-
 /// Claims one ThreadState slot per thread for its lifetime; the slot is
 /// recycled (history reset) after the thread exits. Claim order scans the
 /// static pool, so slot exhaustion degrades to counted drops, never UB.
@@ -136,9 +251,6 @@ struct SlotHolder {
               expected, true, std::memory_order_acq_rel)) {
         candidate.head.store(0, std::memory_order_relaxed);
         candidate.depth.store(0, std::memory_order_relaxed);
-        candidate.overflow_spans.store(0, std::memory_order_relaxed);
-        candidate.rank.store(telemetry::bound_rank(),
-                             std::memory_order_relaxed);
         candidate.tid.store(current_tid(), std::memory_order_relaxed);
         candidate.name[0].store('\0', std::memory_order_relaxed);
         candidate.used.store(true, std::memory_order_release);
@@ -149,10 +261,12 @@ struct SlotHolder {
   }
 
   ~SlotHolder() {
-    // Keep the ring contents visible to later dumps (a thread that died
-    // mid-run is exactly what a postmortem wants to show); only the claim
-    // is released so a future thread may recycle the slot.
-    if (slot != nullptr) slot->active.store(false, std::memory_order_release);
+    // The ring stays visible to later dumps (a thread that died mid-run is
+    // what a postmortem wants to show) and the track to exports until
+    // clear_trace(); only the claim is released, for slot recycling.
+    if (slot == nullptr) return;
+    release_track(*slot);
+    slot->active.store(false, std::memory_order_release);
   }
 };
 
@@ -161,18 +275,36 @@ ThreadState* local_slot() noexcept {
   return holder.slot;
 }
 
+/// local_slot() for recording: with the slot pool exhausted the event is
+/// dropped, and counted for postmortems and, while tracing, for traces.
+ThreadState* recording_slot() noexcept {
+  ThreadState* ts = local_slot();
+  if (ts == nullptr) {
+    g_dropped.fetch_add(1, std::memory_order_relaxed);
+    if (telemetry::enabled()) {
+      telemetry::detail::g_trace_dropped.fetch_add(1,
+                                                   std::memory_order_relaxed);
+    }
+  }
+  return ts;
+}
+
+/// Appends one event to the ring (and, when `traced`, to the track).
 void append_event(ThreadState& ts, EventKind kind, const char* name,
-                  std::uint64_t a, std::uint64_t b, std::uint64_t c) noexcept {
+                  std::uint64_t a, std::uint64_t b, std::uint64_t c,
+                  std::uint64_t ts_ns, bool traced) noexcept {
+  const std::int32_t rank = telemetry::bound_rank();
   const std::uint64_t head = ts.head.load(std::memory_order_relaxed);
   Event& event = ts.ring[head % kRingSize];
-  event.ts_ns.store(now_ns(), std::memory_order_relaxed);
+  event.ts_ns.store(ts_ns, std::memory_order_relaxed);
   event.name.store(name, std::memory_order_relaxed);
   event.a.store(a, std::memory_order_relaxed);
   event.b.store(b, std::memory_order_relaxed);
   event.c.store(c, std::memory_order_relaxed);
   event.kind.store(static_cast<std::uint8_t>(kind), std::memory_order_relaxed);
-  ts.rank.store(telemetry::bound_rank(), std::memory_order_relaxed);
+  event.rank.store(rank, std::memory_order_relaxed);
   ts.head.store(head + 1, std::memory_order_release);
+  if (traced) retain(ts, {ts_ns, name, c, rank, kind});
 }
 
 // -------------------------------------------------------------------------
@@ -201,14 +333,16 @@ struct Sink {
     if (len > 0) write_all(fd, buf, len);
     len = 0;
   }
-  void put(char c) noexcept {
+  Sink& put(char c) noexcept {
     if (len == sizeof(buf)) flush();
     buf[len++] = c;
+    return *this;
   }
-  void raw(const char* s) noexcept {
+  Sink& raw(const char* s) noexcept {
     while (*s != '\0') put(*s++);
+    return *this;
   }
-  void u64(std::uint64_t v) noexcept {
+  Sink& u64(std::uint64_t v) noexcept {
     char tmp[24];
     int i = 0;
     do {
@@ -216,16 +350,13 @@ struct Sink {
       v /= 10;
     } while (v != 0);
     while (i > 0) put(tmp[--i]);
+    return *this;
   }
-  void i64(std::int64_t v) noexcept {
-    if (v < 0) {
-      put('-');
-      u64(static_cast<std::uint64_t>(-(v + 1)) + 1);
-    } else {
-      u64(static_cast<std::uint64_t>(v));
-    }
+  Sink& i64(std::int64_t v) noexcept {
+    if (v >= 0) return u64(static_cast<std::uint64_t>(v));
+    return put('-').u64(static_cast<std::uint64_t>(-(v + 1)) + 1);
   }
-  void hex(std::uint64_t v) noexcept {
+  Sink& hex(std::uint64_t v) noexcept {
     raw("0x");
     char tmp[16];
     int i = 0;
@@ -234,8 +365,9 @@ struct Sink {
       v /= 16;
     } while (v != 0);
     while (i > 0) put(tmp[--i]);
+    return *this;
   }
-  void qstr(const char* s) noexcept {
+  Sink& qstr(const char* s) noexcept {
     put('"');
     if (s != nullptr) {
       for (; *s != '\0'; ++s) {
@@ -251,6 +383,7 @@ struct Sink {
       }
     }
     put('"');
+    return *this;
   }
 };
 
@@ -271,32 +404,27 @@ const char* signal_name(int sig) noexcept {
 /// without allocating. rank < 0 falls back to postmortem_proc.json.
 void build_path(char* out, int rank) noexcept {
   size_t n = 0;
+  const auto put = [&](const char* text) {
+    while (*text != '\0') out[n++] = *text++;
+  };
   for (int i = 0; i < kMaxDirLen; ++i) {
     const char c = g_postmortem_dir[i].load(std::memory_order_acquire);
     if (c == '\0') break;
     out[n++] = c;
   }
   if (n == 0) out[n++] = '.';
-  out[n++] = '/';
-  const char* stem = "postmortem_";
-  for (const char* p = stem; *p != '\0'; ++p) out[n++] = *p;
+  put(rank >= 0 ? "/postmortem_rank" : "/postmortem_proc");
   if (rank >= 0) {
-    const char* word = "rank";
-    for (const char* p = word; *p != '\0'; ++p) out[n++] = *p;
     char digits[16];
     int d = 0;
-    unsigned value = static_cast<unsigned>(rank);
+    auto value = static_cast<unsigned>(rank);
     do {
       digits[d++] = static_cast<char>('0' + value % 10);
       value /= 10;
     } while (value != 0);
     while (d > 0) out[n++] = digits[--d];
-  } else {
-    const char* word = "proc";
-    for (const char* p = word; *p != '\0'; ++p) out[n++] = *p;
   }
-  const char* ext = ".json";
-  for (const char* p = ext; *p != '\0'; ++p) out[n++] = *p;
+  put(".json");
   out[n] = '\0';
 }
 
@@ -309,40 +437,37 @@ struct StallBlame {
 };
 
 void dump_thread(Sink& sink, const ThreadState& ts) {
-  sink.raw("{\"tid\": ");
-  sink.u64(ts.tid.load(std::memory_order_relaxed));
-  sink.raw(", \"name\": ");
+  sink.raw("{\"tid\": ").u64(ts.tid.load(std::memory_order_relaxed));
   char name[kThreadNameLen];
-  for (int i = 0; i < kThreadNameLen; ++i) {
-    name[i] = ts.name[i].load(std::memory_order_relaxed);
-  }
-  name[kThreadNameLen - 1] = '\0';
-  sink.qstr(name);
+  load_name(ts.name, name);
+  sink.raw(", \"name\": ").qstr(name);
+  // The thread's rank is the one bound at its newest event.
+  const std::uint64_t head = ts.head.load(std::memory_order_acquire);
   sink.raw(", \"rank\": ");
-  sink.i64(ts.rank.load(std::memory_order_relaxed));
-  sink.raw(", \"alive\": ");
-  sink.raw(ts.active.load(std::memory_order_relaxed) ? "true" : "false");
+  sink.i64(head == 0 ? -1
+                     : ts.ring[(head - 1) % kRingSize].rank.load(
+                           std::memory_order_relaxed));
+  sink.raw(", \"alive\": ")
+      .raw(ts.active.load(std::memory_order_relaxed) ? "true" : "false");
 
   // Live span stack, outermost first. depth is the release-published
   // count; frames beyond kMaxSpanDepth were counted, not stored.
-  std::uint32_t depth = ts.depth.load(std::memory_order_acquire);
-  if (depth > kMaxSpanDepth) depth = kMaxSpanDepth;
+  const std::uint32_t open = ts.depth.load(std::memory_order_acquire);
+  const std::uint32_t depth = std::min<std::uint32_t>(open, kMaxSpanDepth);
   sink.raw(", \"span_stack\": [");
   for (std::uint32_t i = 0; i < depth; ++i) {
-    if (i > 0) sink.raw(", ");
-    sink.raw("{\"name\": ");
-    sink.qstr(ts.stack[i].name.load(std::memory_order_relaxed));
-    sink.raw(", \"start_ns\": ");
-    sink.u64(ts.stack[i].start_ns.load(std::memory_order_relaxed));
-    sink.put('}');
+    const SpanFrame& frame = ts.stack[i];
+    sink.raw(i > 0 ? ", {\"name\": " : "{\"name\": ")
+        .qstr(frame.name.load(std::memory_order_relaxed));
+    sink.raw(", \"start_ns\": ")
+        .u64(frame.start_ns.load(std::memory_order_relaxed))
+        .put('}');
   }
   sink.put(']');
-  sink.raw(", \"truncated_spans\": ");
-  sink.u64(ts.overflow_spans.load(std::memory_order_relaxed));
+  sink.raw(", \"truncated_spans\": ").u64(open - depth);
 
   // Recent ring events, oldest first. The owning thread may still be
   // writing: at most the oldest event can be torn (see header contract).
-  const std::uint64_t head = ts.head.load(std::memory_order_acquire);
   std::uint64_t first = head > kRingSize ? head - kRingSize : 0;
   sink.raw(", \"events\": [");
   for (std::uint64_t seq = first; seq < head; ++seq) {
@@ -351,17 +476,13 @@ void dump_thread(Sink& sink, const ThreadState& ts) {
     sink.raw("{\"kind\": ");
     sink.qstr(event_kind_name(
         static_cast<EventKind>(event.kind.load(std::memory_order_relaxed))));
-    sink.raw(", \"name\": ");
-    sink.qstr(event.name.load(std::memory_order_relaxed));
-    sink.raw(", \"ts_ns\": ");
-    sink.u64(event.ts_ns.load(std::memory_order_relaxed));
-    sink.raw(", \"a\": ");
-    sink.u64(event.a.load(std::memory_order_relaxed));
-    sink.raw(", \"b\": ");
-    sink.u64(event.b.load(std::memory_order_relaxed));
-    sink.raw(", \"c\": \"");
-    sink.hex(event.c.load(std::memory_order_relaxed));
-    sink.raw("\"}");
+    sink.raw(", \"name\": ").qstr(event.name.load(std::memory_order_relaxed));
+    sink.raw(", \"ts_ns\": ").u64(event.ts_ns.load(std::memory_order_relaxed));
+    sink.raw(", \"a\": ").u64(event.a.load(std::memory_order_relaxed));
+    sink.raw(", \"b\": ").u64(event.b.load(std::memory_order_relaxed));
+    sink.raw(", \"c\": \"")
+        .hex(event.c.load(std::memory_order_relaxed))
+        .raw("\"}");
   }
   sink.raw("]}");
 }
@@ -385,40 +506,28 @@ bool write_postmortem_impl(const char* kind, const char* reason, int rank,
 
   Sink sink;
   sink.fd = fd;
-  sink.raw("{\"schema\": \"ltfb-postmortem-v1\",\n \"kind\": ");
-  sink.qstr(kind);
-  sink.raw(",\n \"reason\": ");
-  sink.qstr(reason);
-  sink.raw(",\n \"rank\": ");
-  sink.i64(rank);
-  sink.raw(",\n \"signal\": ");
-  sink.i64(signal);
+  sink.raw("{\"schema\": \"ltfb-postmortem-v1\",\n \"kind\": ").qstr(kind);
+  sink.raw(",\n \"reason\": ").qstr(reason);
+  sink.raw(",\n \"rank\": ").i64(rank);
+  sink.raw(",\n \"signal\": ").i64(signal);
   if (signal != 0) {
-    sink.raw(",\n \"signal_name\": ");
-    sink.qstr(signal_name(signal));
+    sink.raw(",\n \"signal_name\": ").qstr(signal_name(signal));
   }
-  sink.raw(",\n \"ts_ns\": ");
-  sink.u64(now_ns());
-  sink.raw(",\n \"watchdog_sec\": ");
+  sink.raw(",\n \"ts_ns\": ").u64(now_ns());
   const double window = g_watchdog_window_s.load(std::memory_order_relaxed);
-  sink.u64(static_cast<std::uint64_t>(window * 1e3));
-  sink.raw("e-3,\n \"dropped_events\": ");
-  sink.u64(g_dropped.load(std::memory_order_relaxed));
-  sink.raw(",\n \"pending_dropped\": ");
-  sink.u64(g_pending_dropped.load(std::memory_order_relaxed));
+  sink.raw(",\n \"watchdog_sec\": ")
+      .u64(static_cast<std::uint64_t>(window * 1e3))
+      .raw("e-3,\n \"dropped_events\": ")
+      .u64(g_dropped.load(std::memory_order_relaxed))
+      .raw(",\n \"pending_dropped\": ")
+      .u64(g_pending_dropped.load(std::memory_order_relaxed));
 
   if (blame != nullptr) {
-    sink.raw(",\n \"blame\": {\"op\": ");
-    sink.qstr(blame->op);
-    sink.raw(", \"tag\": ");
-    sink.i64(blame->tag);
-    sink.raw(", \"peer\": ");
-    sink.i64(blame->peer);
-    sink.raw(", \"rank\": ");
-    sink.i64(blame->rank);
-    sink.raw(", \"age_ns\": ");
-    sink.u64(blame->age_ns);
-    sink.put('}');
+    sink.raw(",\n \"blame\": {\"op\": ").qstr(blame->op);
+    sink.raw(", \"tag\": ").i64(blame->tag);
+    sink.raw(", \"peer\": ").i64(blame->peer);
+    sink.raw(", \"rank\": ").i64(blame->rank);
+    sink.raw(", \"age_ns\": ").u64(blame->age_ns).put('}');
   }
 
   sink.raw(",\n \"heartbeats\": [");
@@ -428,11 +537,8 @@ bool write_postmortem_impl(const char* kind, const char* reason, int rank,
     if (count == 0) continue;
     if (!first_hb) sink.raw(", ");
     first_hb = false;
-    sink.raw("{\"rank\": ");
-    sink.i64(i - 1);
-    sink.raw(", \"count\": ");
-    sink.u64(count);
-    sink.put('}');
+    sink.raw("{\"rank\": ").i64(i - 1);
+    sink.raw(", \"count\": ").u64(count).put('}');
   }
   sink.put(']');
 
@@ -443,18 +549,12 @@ bool write_postmortem_impl(const char* kind, const char* reason, int rank,
     if (slot.state.load(std::memory_order_acquire) != 2) continue;
     if (!first_op) sink.raw(", ");
     first_op = false;
-    sink.raw("{\"op\": ");
-    sink.qstr(slot.op.load(std::memory_order_relaxed));
-    sink.raw(", \"tag\": ");
-    sink.i64(slot.tag.load(std::memory_order_relaxed));
-    sink.raw(", \"peer\": ");
-    sink.i64(slot.peer.load(std::memory_order_relaxed));
-    sink.raw(", \"rank\": ");
-    sink.i64(slot.rank.load(std::memory_order_relaxed));
-    sink.raw(", \"age_ns\": ");
+    sink.raw("{\"op\": ").qstr(slot.op.load(std::memory_order_relaxed));
+    sink.raw(", \"tag\": ").i64(slot.tag.load(std::memory_order_relaxed));
+    sink.raw(", \"peer\": ").i64(slot.peer.load(std::memory_order_relaxed));
+    sink.raw(", \"rank\": ").i64(slot.rank.load(std::memory_order_relaxed));
     const std::uint64_t start = slot.start_ns.load(std::memory_order_relaxed);
-    sink.u64(now > start ? now - start : 0);
-    sink.put('}');
+    sink.raw(", \"age_ns\": ").u64(now > start ? now - start : 0).put('}');
   }
   sink.put(']');
 
@@ -554,12 +654,13 @@ namespace detail {
 
 void flight_record(EventKind kind, const char* name, std::uint64_t a,
                    std::uint64_t b, std::uint64_t c) noexcept {
-  ThreadState* ts = local_slot();
-  if (ts == nullptr) {
-    g_dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  append_event(*ts, kind, name, a, b, c);
+  ThreadState* ts = recording_slot();
+  if (ts == nullptr) return;
+  // A comm edge with a correlation id is one endpoint of a trace flow.
+  const bool traced =
+      (kind == EventKind::CommSend || kind == EventKind::CommRecv) &&
+      c != 0 && admit(*ts);
+  append_event(*ts, kind, name, a, b, c, now_ns(), traced);
 }
 
 void flight_heartbeat() noexcept {
@@ -591,51 +692,90 @@ void flight_heartbeat_hot() noexcept {
   flight_heartbeat();
 }
 
-void flight_thread_name(std::string_view name) noexcept {
-  ThreadState* ts = local_slot();
-  if (ts == nullptr) return;
-  int i = 0;
-  for (; i < kThreadNameLen - 1 && i < static_cast<int>(name.size()); ++i) {
-    ts->name[i].store(name[i], std::memory_order_relaxed);
+void for_each_trace_item(const std::function<void(const TraceItem&)>& fn) {
+  const std::uint64_t gen = g_trace_gen.load(std::memory_order_acquire);
+  std::vector<const TraceEvent*> open;  // begins awaiting their end
+  for (const Track* track = g_tracks.load(std::memory_order_acquire);
+       track != nullptr; track = track->next) {
+    if (track->gen != gen) continue;
+    char name[kThreadNameLen];
+    if (track->owned.load(std::memory_order_acquire)) {
+      load_name(track->slot->name, name);
+    } else {
+      std::memcpy(name, track->final_name, sizeof(name));
+    }
+    open.clear();
+    for (const Chunk* chunk = track->oldest.load(std::memory_order_acquire);
+         chunk != nullptr;) {
+      // A chunk with a newer one is full; its count was published first.
+      const Chunk* newer = chunk->newer.load(std::memory_order_acquire);
+      const std::uint32_t n = newer != nullptr
+                                  ? Chunk::kEvents
+                                  : chunk->count.load(std::memory_order_acquire);
+      for (const TraceEvent& e : std::span(chunk->events, n)) {
+        if (e.kind == EventKind::SpanBegin) {
+          open.push_back(&e);
+        } else if (e.kind != EventKind::SpanEnd) {
+          fn({e.kind == EventKind::CommSend ? 's' : 'f', e.name, e.ts_ns, 0,
+              e.flow, e.rank, track->tid, name});
+        } else if (!open.empty()) {  // else it began before clear_trace
+          const TraceEvent& begin = *open.back();
+          open.pop_back();
+          fn({'X', begin.name, begin.ts_ns, e.ts_ns - begin.ts_ns, 0, e.rank,
+              track->tid, name});
+        }
+      }
+      chunk = newer;
+    }
   }
-  ts->name[i].store('\0', std::memory_order_relaxed);
 }
 
-void flight_span_push(const char* name) noexcept {
-  ThreadState* ts = local_slot();
-  if (ts == nullptr) {
-    g_dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
+void clear_retained_trace() {
+  g_trace_gen.fetch_add(1, std::memory_order_acq_rel);
+  Track* track = g_tracks.exchange(nullptr, std::memory_order_acq_rel);
+  while (track != nullptr) {
+    Track* next = track->next;
+    // A track its thread still owns is stale now (exporters skip it); the
+    // first clear after its thread lets go frees it.
+    if (track->owned.load(std::memory_order_acquire)) {
+      push_track(track);
+    } else {
+      for (Chunk* chunk = track->oldest.load(std::memory_order_relaxed);
+           chunk != nullptr;) {
+        const std::unique_ptr<Chunk> owner(chunk);
+        chunk = chunk->newer.load(std::memory_order_relaxed);
+      }
+      const std::unique_ptr<Track> owner(track);
+    }
+    track = next;
   }
+  telemetry::detail::g_trace_dropped.store(0, std::memory_order_relaxed);
+}
+
+bool span_begin(const char* name) noexcept {
+  ThreadState* ts = recording_slot();
+  if (ts == nullptr) return false;
+  const std::uint64_t now = now_ns();
   const std::uint32_t depth = ts->depth.load(std::memory_order_relaxed);
   if (depth < kMaxSpanDepth) {
     ts->stack[depth].name.store(name, std::memory_order_relaxed);
-    ts->stack[depth].start_ns.store(now_ns(), std::memory_order_relaxed);
-    ts->depth.store(depth + 1, std::memory_order_release);
-  } else {
-    // Frames past the fixed stack are counted, not stored — the pop path
-    // drains the overflow count before touching stored frames.
-    ts->overflow_spans.fetch_add(1, std::memory_order_relaxed);
+    ts->stack[depth].start_ns.store(now, std::memory_order_relaxed);
   }
-  append_event(*ts, EventKind::SpanBegin, name, 0, 0, 0);
+  ts->depth.store(depth + 1, std::memory_order_release);
+  const bool traced = admit(*ts);
+  append_event(*ts, EventKind::SpanBegin, name, 0, 0, 0, now, traced);
+  return traced;
 }
 
-void flight_span_pop() noexcept {
+void span_end(const char* name, bool traced) noexcept {
   ThreadState* ts = local_slot();
   if (ts == nullptr) return;
-  const char* name = "span";
-  const std::uint32_t overflow =
-      ts->overflow_spans.load(std::memory_order_relaxed);
-  if (overflow > 0) {
-    ts->overflow_spans.store(overflow - 1, std::memory_order_relaxed);
-  } else {
-    const std::uint32_t depth = ts->depth.load(std::memory_order_relaxed);
-    if (depth == 0) return;
-    const std::uint32_t top = depth <= kMaxSpanDepth ? depth : kMaxSpanDepth;
-    name = ts->stack[top - 1].name.load(std::memory_order_relaxed);
+  // reset_for_tests may have zeroed the stack under an open span.
+  if (const std::uint32_t depth = ts->depth.load(std::memory_order_relaxed);
+      depth > 0) {
     ts->depth.store(depth - 1, std::memory_order_release);
   }
-  append_event(*ts, EventKind::SpanEnd, name, 0, 0, 0);
+  append_event(*ts, EventKind::SpanEnd, name, 0, 0, 0, now_ns(), traced);
 }
 
 }  // namespace detail
@@ -670,27 +810,22 @@ void set_enabled(bool on) noexcept {
     (void)now_ns();
     (void)local_slot();
   }
-  telemetry::detail::g_flight_enabled.store(on, std::memory_order_relaxed);
+  telemetry::detail::set_switch(telemetry::detail::kFlightSwitch, on);
 }
 
 bool init_from_env() {
   if (const char* dir = std::getenv("LTFB_POSTMORTEM_DIR");
       dir != nullptr && dir[0] != '\0') {
-    if (std::strlen(dir) > kMaxDirLen) {
+    try {
+      set_postmortem_dir(dir);
+    } catch (const ltfb::InvalidArgument&) {
       LTFB_LOG_WARN("flight", "LTFB_POSTMORTEM_DIR longer than "
                                   << kMaxDirLen
                                   << " chars, keeping previous directory");
-    } else {
-      store_dir(dir);
-      std::error_code ec;
-      std::filesystem::create_directories(dir, ec);  // best effort
     }
   }
 
-  const char* flag = std::getenv("LTFB_FLIGHT_RECORDER");
-  const bool on =
-      flag != nullptr && flag[0] != '\0' && std::string_view(flag) != "0";
-  if (on) {
+  if (util::env_flag("LTFB_FLIGHT_RECORDER")) {
     set_enabled(true);
     install_crash_handler();
   }
@@ -712,6 +847,14 @@ bool init_from_env() {
 std::uint64_t heartbeat_count(int rank) noexcept {
   if (rank >= telemetry::detail::kMaxRankScopes) return 0;
   return g_heartbeats[heartbeat_index(rank)].load(std::memory_order_relaxed);
+}
+
+std::uint64_t recorded_events() noexcept {
+  std::uint64_t total = 0;
+  for (const auto& ts : g_threads) {
+    total += ts.head.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 std::uint64_t dropped_events() noexcept {
@@ -791,16 +934,15 @@ void set_process_rank(int rank) {
   g_process_rank.store(rank, std::memory_order_relaxed);
 }
 
-int process_rank() noexcept {
-  return g_process_rank.load(std::memory_order_relaxed);
-}
-
 void set_postmortem_dir(const std::string& dir) {
   if (dir.empty() || dir.size() > kMaxDirLen) {
     throw ltfb::InvalidArgument(
         "flight recorder: postmortem dir empty or too long");
   }
-  store_dir(dir.c_str());
+  for (std::size_t i = 0; i < dir.size(); ++i) {
+    g_postmortem_dir[i].store(dir[i], std::memory_order_relaxed);
+  }
+  g_postmortem_dir[dir.size()].store('\0', std::memory_order_release);
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);  // best effort
 }
@@ -866,12 +1008,6 @@ void stop_watchdog() noexcept {
   g_watchdog_running.store(false, std::memory_order_release);
 }
 
-double watchdog_window_seconds() noexcept {
-  return g_watchdog_running.load(std::memory_order_acquire)
-             ? g_watchdog_window_s.load(std::memory_order_relaxed)
-             : 0.0;
-}
-
 // ---------------------------------------------------------------------------
 // Test hooks
 // ---------------------------------------------------------------------------
@@ -880,7 +1016,6 @@ void reset_for_tests() {
   for (auto& ts : g_threads) {
     ts.head.store(0, std::memory_order_relaxed);
     ts.depth.store(0, std::memory_order_relaxed);
-    ts.overflow_spans.store(0, std::memory_order_relaxed);
   }
   for (auto& slot : g_pending) {
     slot.state.store(0, std::memory_order_relaxed);
@@ -895,15 +1030,31 @@ void reset_for_tests() {
 }  // namespace ltfb::telemetry::flight
 
 // ---------------------------------------------------------------------------
-// Span-stack hooks (declared in telemetry.hpp so Span can call them)
+// Thread names and retroactive spans (declared in telemetry.hpp)
 // ---------------------------------------------------------------------------
 
-namespace ltfb::telemetry::detail {
+namespace ltfb::telemetry {
 
-void flight_span_begin(const char* name) noexcept {
-  flight::detail::flight_span_push(name);
+void set_thread_name(std::string_view name) {
+  flight::ThreadState* ts = flight::local_slot();
+  if (ts == nullptr) return;
+  std::size_t i = 0;
+  for (; i + 1 < flight::kThreadNameLen && i < name.size(); ++i) {
+    ts->name[i].store(name[i], std::memory_order_relaxed);
+  }
+  ts->name[i].store('\0', std::memory_order_relaxed);
 }
 
-void flight_span_end() noexcept { flight::detail::flight_span_pop(); }
+void record_interval(const char* name, std::uint64_t start_ns,
+                     std::uint64_t end_ns) noexcept {
+  if (!detail::recording()) return;
+  flight::ThreadState* ts = flight::recording_slot();
+  if (ts == nullptr) return;
+  const bool traced = flight::admit(*ts);
+  flight::append_event(*ts, flight::EventKind::SpanBegin, name, 0, 0, 0,
+                       start_ns, traced);
+  flight::append_event(*ts, flight::EventKind::SpanEnd, name, 0, 0, 0,
+                       end_ns, traced);
+}
 
-}  // namespace ltfb::telemetry::detail
+}  // namespace ltfb::telemetry

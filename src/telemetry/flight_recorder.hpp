@@ -1,29 +1,27 @@
-// Always-on postmortem observability (DESIGN.md §16): a process-wide
-// flight recorder that keeps the *recent past* in fixed-size, lock-free
-// per-thread ring buffers — span begin/end edges, comm send/recv/wait
-// edges (tag, peer, correlation id), and fault-model transitions — plus a
+// The process's one event record (DESIGN.md §8, §16): fixed-size,
+// lock-free per-thread rings of span begin/end edges, comm send/recv/wait
+// edges (tag, peer, correlation id), and fault-model transitions, plus a
 // live span stack per thread, a registry of in-flight (blocking) comm
-// operations, and per-rank progress heartbeats.
+// operations, and per-rank progress heartbeats. Two consumers read it:
 //
-// Unlike the telemetry Registry (which accumulates and exports on *clean*
-// shutdown), everything here exists to survive the unclean endings:
-//
-//   * a crash handler installed for SIGSEGV/SIGABRT/SIGBUS dumps the
-//     rings, every thread's live span stack, the pending-op registry, and
-//     the process's rank identity to postmortem_rank<N>.json using only
-//     async-signal-safe calls (open/write);
-//   * the FaultInjected / RankFailedError / TimeoutError unwind paths
-//     (World::run_ranks, spawn_processes children) dump the same report
-//     through the normal path;
-//   * a watchdog thread (LTFB_WATCHDOG_SEC) detects a blocked comm op
-//     whose owning rank's heartbeat has not advanced for a full window
-//     and dumps a "stall" report naming the blocked op, tag, and peer.
+//   * Chrome traces (Registry::write_trace_json). While tracing is on, a
+//     thread's span and flow events are also retained beyond the ring, in
+//     heap chunks the exporter walks without a lock (kTraceCapPerThread
+//     records per thread, drops counted), until Registry::clear_trace().
+//   * Postmortems, for the unclean endings: a SIGSEGV/SIGABRT/SIGBUS crash
+//     handler dumps the rings, live span stacks, pending ops, and rank
+//     identity to postmortem_rank<N>.json with async-signal-safe calls
+//     only (open/write); the FaultInjected / RankFailedError /
+//     TimeoutError unwind paths (World::run_ranks, spawn_processes
+//     children) dump the same report; a watchdog (LTFB_WATCHDOG_SEC)
+//     dumps a "stall" report naming a blocked comm op whose rank's
+//     heartbeat stood still for a full window.
 //
 // Memory/ordering model (the signal-safety contract):
 //
-//   * All state lives in static storage — fixed arrays of PODs and
-//     atomics. The recorder never allocates, so the dump path can run
-//     inside a signal handler and the hot path stays allocation-free.
+//   * Rings, span stacks, and the pending-op registry are fixed arrays of
+//     PODs and atomics in static storage: the dump never allocates. Only
+//     trace retention allocates, and the dump never reads it.
 //   * Rings and span stacks are single-producer: only the owning thread
 //     writes. The producer fills the event cell, then publishes with a
 //     release store of the head (or depth); snapshotting readers (the
@@ -32,21 +30,20 @@
 //     wrapped the ring may be overwriting the oldest cell concurrently,
 //     so a snapshot tolerates at most ONE torn event per thread — an
 //     accepted artifact of staying lock-free, flagged in DESIGN.md §16.
-//   * The hot-path gate is one relaxed atomic load (enabled()), mirroring
-//     the telemetry Registry's contract; with the recorder disabled the
-//     instrumented paths are indistinguishable from uninstrumented ones
-//     (bench/telemetry_overhead measures the enabled configuration too).
+//   * The hot-path gate is one relaxed atomic load: the ring records while
+//     tracing (Registry::set_enabled) or postmortems (flight::set_enabled)
+//     are on; with both off the instrumented paths are indistinguishable
+//     from uninstrumented ones (bench/telemetry_overhead).
 //
-// The recorder's enable gate is independent of telemetry's: postmortems
-// work with full tracing off, and vice versa. Enable with
-// LTFB_FLIGHT_RECORDER=1 (init_from_env), which also installs the crash
-// handler, caches LTFB_POSTMORTEM_DIR (getenv is not signal-safe, so the
-// directory is captured up front), and starts the watchdog when
-// LTFB_WATCHDOG_SEC is set.
+// Enable postmortems with LTFB_FLIGHT_RECORDER=1 (init_from_env), which
+// also installs the crash handler, caches LTFB_POSTMORTEM_DIR (getenv is
+// not signal-safe), and starts the watchdog when LTFB_WATCHDOG_SEC is set.
+// Heartbeats, pending ops, and the watchdog follow that switch only.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -59,9 +56,11 @@ namespace ltfb::telemetry::flight {
 // Event model
 // ---------------------------------------------------------------------------
 
-/// What one ring event records. The `name` of every event is a string
-/// literal (same lifetime contract as Span names), so the crash handler
-/// can safely dereference it from any thread.
+/// What one ring event records. Every event also carries its timestamp
+/// and the recording thread's bound rank at that moment (pool workers
+/// serve several ranks over their lifetime). The `name` of every event is
+/// a string literal (same lifetime contract as Span names), so the crash
+/// handler can safely dereference it from any thread.
 enum class EventKind : std::uint8_t {
   SpanBegin = 0,  // a, b, c unused
   SpanEnd = 1,    // a, b, c unused
@@ -83,25 +82,40 @@ const char* event_kind_name(EventKind kind) noexcept;
 
 namespace detail {
 // Out-of-line hot-path sinks (flight_recorder.cpp); every inline wrapper
-// below bails through the relaxed gate first, so the disabled cost is one
-// atomic load. The gate itself (telemetry::detail::g_flight_enabled) lives
-// in telemetry.hpp so Span can consult it without a circular include.
+// below bails through a relaxed gate first, so the disabled cost is one
+// atomic load. The gate itself (telemetry::detail::g_switches) lives in
+// telemetry.hpp so Span can consult it without a circular include.
 void flight_record(EventKind kind, const char* name, std::uint64_t a,
                    std::uint64_t b, std::uint64_t c) noexcept;
 void flight_heartbeat() noexcept;
 void flight_heartbeat_hot() noexcept;
 
-// Span-stack maintenance (Span feeds these via the telemetry::detail
-// forwarders) and thread-name capture (telemetry::set_thread_name feeds
-// this so postmortems label threads the same way traces do).
-void flight_span_push(const char* name) noexcept;
-void flight_span_pop() noexcept;
-void flight_thread_name(std::string_view name) noexcept;
+/// A retained trace item: a complete span ('X', a thread's begin/end
+/// events paired in LIFO order) or a flow endpoint ('s' send, 'f'
+/// receive), on the rank bound when it ended / was recorded.
+struct TraceItem {
+  char ph;
+  const char* name;
+  std::uint64_t ts_ns, dur_ns, flow;
+  int rank;
+  std::uint32_t tid;
+  std::string_view thread;
+};
+
+/// Replays every thread track of the current trace generation. Callers
+/// serialize against clear_retained_trace (Registry's export mutex).
+void for_each_trace_item(const std::function<void(const TraceItem&)>& fn);
+
+/// Starts a new trace generation (and a zero drop count), freeing what
+/// exited threads retained.
+void clear_retained_trace();
 }  // namespace detail
 
-/// True when the flight recorder is recording. One relaxed load.
+/// True when postmortem recording is on (flight::set_enabled). One relaxed
+/// load. The ring also records while tracing is on.
 inline bool enabled() noexcept {
-  return telemetry::detail::g_flight_enabled.load(std::memory_order_relaxed);
+  return (telemetry::detail::g_switches.load(std::memory_order_relaxed) &
+          telemetry::detail::kFlightSwitch) != 0;
 }
 
 /// Turns recording on/off. Enabling does NOT install the crash handler or
@@ -120,12 +134,15 @@ bool init_from_env();
 // Recording (hot path)
 // ---------------------------------------------------------------------------
 
-/// Appends one event to the calling thread's ring. Lock-free and
-/// allocation-free; drops (and counts) when the static thread-slot pool is
-/// exhausted. `name` must be a string literal.
+/// Appends one event to the calling thread's ring (a CommSend/CommRecv
+/// with a flow id in `c` is a trace flow endpoint too). Lock-free; drops
+/// (and counts) when the static thread-slot pool is exhausted. `name`
+/// must be a string literal.
 inline void record(EventKind kind, const char* name, std::uint64_t a = 0,
                    std::uint64_t b = 0, std::uint64_t c = 0) noexcept {
-  if (enabled()) detail::flight_record(kind, name, a, b, c);
+  if (telemetry::detail::recording()) {
+    detail::flight_record(kind, name, a, b, c);
+  }
 }
 
 /// Ticks the calling thread's bound rank's progress heartbeat (unbound
@@ -150,6 +167,14 @@ inline void heartbeat_hot() noexcept {
 /// meaningful — the watchdog compares it against the value captured at
 /// pending-op entry.
 std::uint64_t heartbeat_count(int rank) noexcept;
+
+/// Trace records (spans + flow endpoints) one thread retains per trace
+/// generation; records past it are counted in Registry::dropped_spans().
+inline constexpr std::uint64_t kTraceCapPerThread = std::uint64_t{1} << 20;
+
+/// Ring events recorded so far: the sum of every thread slot's head
+/// (reset_for_tests and slot recycling restart a slot's count).
+std::uint64_t recorded_events() noexcept;
 
 /// Events dropped because the thread-slot pool was exhausted.
 std::uint64_t dropped_events() noexcept;
@@ -200,7 +225,6 @@ std::vector<PendingOpInfo> pending_ops();
 /// process" — dumps fall back to the recording thread's rank, then to
 /// postmortem_proc.json. Throws ltfb::InvalidArgument below -1.
 void set_process_rank(int rank);
-int process_rank() noexcept;
 
 /// Overrides the cached postmortem directory (normally captured from
 /// LTFB_POSTMORTEM_DIR by init_from_env; "." when unset). Must fit the
@@ -246,16 +270,14 @@ bool start_watchdog(double seconds);
 /// Stops and joins the watchdog thread (no-op when not running).
 void stop_watchdog() noexcept;
 
-/// The active watchdog window in seconds, or 0 when not running.
-double watchdog_window_seconds() noexcept;
-
 // ---------------------------------------------------------------------------
 // Test/reset hooks
 // ---------------------------------------------------------------------------
 
 /// Clears rings, span stacks, heartbeats, pending ops, and drop counters
-/// (slots stay claimed by their threads). Test isolation only — never
-/// needed in production paths.
+/// (slots stay claimed by their threads; retained trace events are
+/// Registry::clear_trace's business). Test isolation only — never needed
+/// in production paths.
 void reset_for_tests();
 
 }  // namespace ltfb::telemetry::flight

@@ -1,13 +1,16 @@
 #include "telemetry/telemetry.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
+#include <map>
 #include <sstream>
 
 #include "telemetry/flight_recorder.hpp"
+#include "util/env.hpp"
 
 namespace ltfb::telemetry {
 
@@ -61,10 +64,10 @@ std::string json_escape(std::string_view in) {
       case '\r': out += "\\r"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          std::ostringstream oss;
-          oss << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-              << static_cast<int>(c);
-          out += oss.str();
+          static constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out += kHex[(c >> 4) & 0xf];
+          out += kHex[c & 0xf];
         } else {
           out += c;
         }
@@ -74,15 +77,12 @@ std::string json_escape(std::string_view in) {
 }
 
 std::string json_double(double v) {
-  std::ostringstream oss;
-  oss << std::setprecision(12) << v;
-  const std::string s = oss.str();
-  // JSON has no inf/nan; clamp to null-safe sentinels.
-  if (s.find("inf") != std::string::npos ||
-      s.find("nan") != std::string::npos) {
-    return "0";
-  }
-  return s;
+  // JSON has no inf/nan; clamp to a null-safe sentinel.
+  if (!std::isfinite(v)) return "0";
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), v,
+                                    std::chars_format::general, 12);
+  return std::string(buf, result.ptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -94,11 +94,6 @@ void bind_rank(int rank) {
                  "telemetry::bind_rank(" << rank << ") outside [-1, "
                                          << detail::kMaxRankScopes << ")");
   detail::tl_bound_rank = rank;
-}
-
-void set_thread_name(std::string_view name) {
-  Registry::instance().name_current_thread(name);
-  flight::detail::flight_thread_name(name);
 }
 
 namespace {
@@ -128,34 +123,6 @@ double histogram_percentile(
 // Registry storage
 // ---------------------------------------------------------------------------
 
-struct Registry::TraceBuffer {
-  // Leaf lock: acquired after trace_mutex_ (exporters) or alone (the
-  // recording thread); never held while taking any other lock.
-  util::Mutex mutex;
-  /// Written once at registration (under trace_mutex_ in local_buffer),
-  /// immutable afterwards — readable without this buffer's mutex.
-  std::uint32_t tid = 0;
-  /// Track label from set_thread_name ("" = unnamed, numbered track).
-  std::string thread_name LTFB_GUARDED_BY(mutex);
-  struct WallSpan {
-    const char* name;
-    std::uint64_t start_ns;
-    std::uint64_t dur_ns;
-    /// Rank bound to the thread when the span ended, or -1 (captured per
-    /// span, not per buffer: pool workers serve different ranks over
-    /// time, so one thread's spans can export under several pids).
-    int rank;
-  };
-  std::vector<WallSpan> spans LTFB_GUARDED_BY(mutex);
-  struct FlowPoint {
-    std::uint64_t id;
-    std::uint64_t ts_ns;
-    int rank;
-    char phase;  // 's' (send side) or 'f' (receive side)
-  };
-  std::vector<FlowPoint> flows LTFB_GUARDED_BY(mutex);
-};
-
 struct Registry::SimSpan {
   std::string name;
   double start_s = 0.0;
@@ -171,145 +138,55 @@ Registry& Registry::instance() {
 namespace {
 
 template <typename Slots>
-auto* find_slot(Slots& slots, std::string_view name) {
-  for (auto& [slot_name, slot] : slots) {
+bool name_taken(const Slots& slots, std::string_view name) {
+  return std::any_of(slots.begin(), slots.end(),
+                     [&](const auto& entry) { return entry.first == name; });
+}
+
+constexpr const char* kNameRule =
+    "\" violates the subsystem/verb convention ([a-z0-9_]+ segments joined "
+    "by '/')";
+
+/// The slot registered as `name` in `mine`, created on first use. Throws
+/// for a name registered as another kind (in `other_a` / `other_b`).
+template <typename Slots, typename A, typename B>
+auto* find_or_add(Slots& mine, const A& other_a, const B& other_b,
+                  std::string_view name) {
+  for (auto& [slot_name, slot] : mine) {
     if (slot_name == name) return slot.get();
   }
-  return static_cast<
-      typename Slots::value_type::second_type::element_type*>(nullptr);
-}
-
-template <typename Slots>
-bool name_taken(const Slots& slots, std::string_view name) {
-  for (const auto& [slot_name, slot] : slots) {
-    if (slot_name == name) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-Counter Registry::counter(std::string_view name) {
-  LTFB_CHECK_MSG(valid_metric_name(name),
-                 "telemetry metric name \""
-                     << name
-                     << "\" violates the subsystem/verb convention "
-                        "([a-z0-9_]+ segments joined by '/')");
-  const util::MutexLock lock(metrics_mutex_);
-  if (auto* slot = find_slot(counters_, name)) return Counter(slot);
-  LTFB_CHECK_MSG(!name_taken(gauges_, name) && !name_taken(timers_, name),
+  LTFB_CHECK_MSG(!name_taken(other_a, name) && !name_taken(other_b, name),
                  "telemetry metric \"" << name
                                        << "\" already registered as a "
                                           "different kind");
-  counters_.emplace_back(std::string(name),
-                         std::make_unique<detail::CounterSlot>());
-  return Counter(counters_.back().second.get());
+  using Slot = typename Slots::value_type::second_type::element_type;
+  mine.emplace_back(std::string(name), std::make_unique<Slot>());
+  return mine.back().second.get();
 }
 
-Gauge Registry::gauge(std::string_view name) {
-  LTFB_CHECK_MSG(valid_metric_name(name),
-                 "telemetry metric name \""
-                     << name
-                     << "\" violates the subsystem/verb convention "
-                        "([a-z0-9_]+ segments joined by '/')");
-  const util::MutexLock lock(metrics_mutex_);
-  if (auto* slot = find_slot(gauges_, name)) return Gauge(slot);
-  LTFB_CHECK_MSG(!name_taken(counters_, name) && !name_taken(timers_, name),
-                 "telemetry metric \"" << name
-                                       << "\" already registered as a "
-                                          "different kind");
-  gauges_.emplace_back(std::string(name),
-                       std::make_unique<detail::GaugeSlot>());
-  return Gauge(gauges_.back().second.get());
-}
-
-Timer Registry::timer(std::string_view name) {
-  LTFB_CHECK_MSG(valid_metric_name(name),
-                 "telemetry metric name \""
-                     << name
-                     << "\" violates the subsystem/verb convention "
-                        "([a-z0-9_]+ segments joined by '/')");
-  const util::MutexLock lock(metrics_mutex_);
-  if (auto* slot = find_slot(timers_, name)) return Timer(slot);
-  LTFB_CHECK_MSG(!name_taken(counters_, name) && !name_taken(gauges_, name),
-                 "telemetry metric \"" << name
-                                       << "\" already registered as a "
-                                          "different kind");
-  timers_.emplace_back(std::string(name),
-                       std::make_unique<detail::TimerSlot>());
-  return Timer(timers_.back().second.get());
-}
-
-MetricsSnapshot Registry::snapshot() const {
-  const util::MutexLock lock(metrics_mutex_);
-  MetricsSnapshot snap;
-  snap.counters.reserve(counters_.size());
-  for (const auto& [name, slot] : counters_) {
-    snap.counters.push_back(
-        {name, slot->value.load(std::memory_order_relaxed)});
-  }
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& [name, slot] : gauges_) {
-    snap.gauges.push_back({name, slot->value.load(std::memory_order_relaxed),
-                           slot->max.load(std::memory_order_relaxed),
-                           slot->sets.load(std::memory_order_relaxed)});
-  }
-  const double rate_window_s = std::max(
-      1e-9, static_cast<double>(
-                now_ns() - rate_epoch_ns_.load(std::memory_order_relaxed)) *
-                1e-9);
-  snap.timers.reserve(timers_.size());
-  for (const auto& [name, slot] : timers_) {
-    TimerStat stat;
-    stat.name = name;
-    stat.count = slot->count.load(std::memory_order_relaxed);
-    stat.total_s = slot->sum_s.load(std::memory_order_relaxed);
-    stat.min_s =
-        stat.count ? slot->min_s.load(std::memory_order_relaxed) : 0.0;
-    stat.max_s = slot->max_s.load(std::memory_order_relaxed);
-    stat.mean_s =
-        stat.count ? stat.total_s / static_cast<double>(stat.count) : 0.0;
-    stat.p50_s = histogram_percentile(slot->buckets, stat.count, 0.50);
-    stat.p95_s = histogram_percentile(slot->buckets, stat.count, 0.95);
-    stat.p99_s = histogram_percentile(slot->buckets, stat.count, 0.99);
-    stat.rate_per_s = static_cast<double>(stat.count) / rate_window_s;
-    snap.timers.push_back(std::move(stat));
-  }
-  const auto by_name = [](const auto& a, const auto& b) {
-    return a.name < b.name;
-  };
-  std::sort(snap.counters.begin(), snap.counters.end(), by_name);
-  std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
-  std::sort(snap.timers.begin(), snap.timers.end(), by_name);
-  return snap;
-}
-
-MetricsSnapshot Registry::snapshot_rank(int rank) const {
-  LTFB_CHECK_MSG(rank >= 0 && rank < detail::kMaxRankScopes,
-                 "telemetry snapshot_rank(" << rank << ") outside [0, "
-                                            << detail::kMaxRankScopes << ")");
+/// Snapshot of the process-wide cells (rank -1) or of rank `rank`'s cells,
+/// sorted by name. Rank cells keep no histogram, so their percentiles are 0.
+template <typename Counters, typename Gauges, typename Timers>
+MetricsSnapshot build_snapshot(const Counters& counters, const Gauges& gauges,
+                               const Timers& timers, int rank,
+                               std::uint64_t rate_epoch_ns) {
+  const double rate_window_s =
+      std::max(1e-9, static_cast<double>(now_ns() - rate_epoch_ns) * 1e-9);
   const auto r = static_cast<std::size_t>(rank);
-  const util::MutexLock lock(metrics_mutex_);
   MetricsSnapshot snap;
-  snap.counters.reserve(counters_.size());
-  for (const auto& [name, slot] : counters_) {
+  for (const auto& [name, slot] : counters) {
     snap.counters.push_back(
-        {name, slot->rank_value[r].load(std::memory_order_relaxed)});
+        {name, (rank < 0 ? slot->value : slot->rank_value[r])
+                   .load(std::memory_order_relaxed)});
   }
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& [name, slot] : gauges_) {
-    const auto& cell = slot->rank[r];
+  for (const auto& [name, slot] : gauges) {
+    const detail::GaugeRankCell& cell = rank < 0 ? *slot : slot->rank[r];
     snap.gauges.push_back({name, cell.value.load(std::memory_order_relaxed),
                            cell.max.load(std::memory_order_relaxed),
                            cell.sets.load(std::memory_order_relaxed)});
   }
-  const double rate_window_s = std::max(
-      1e-9, static_cast<double>(
-                now_ns() - rate_epoch_ns_.load(std::memory_order_relaxed)) *
-                1e-9);
-  snap.timers.reserve(timers_.size());
-  for (const auto& [name, slot] : timers_) {
-    const auto& cell = slot->rank[r];
+  for (const auto& [name, slot] : timers) {
+    const detail::TimerRankCell& cell = rank < 0 ? *slot : slot->rank[r];
     TimerStat stat;
     stat.name = name;
     stat.count = cell.count.load(std::memory_order_relaxed);
@@ -320,6 +197,11 @@ MetricsSnapshot Registry::snapshot_rank(int rank) const {
     stat.mean_s =
         stat.count ? stat.total_s / static_cast<double>(stat.count) : 0.0;
     stat.rate_per_s = static_cast<double>(stat.count) / rate_window_s;
+    if (rank < 0) {
+      stat.p50_s = histogram_percentile(slot->buckets, stat.count, 0.50);
+      stat.p95_s = histogram_percentile(slot->buckets, stat.count, 0.95);
+      stat.p99_s = histogram_percentile(slot->buckets, stat.count, 0.99);
+    }
     snap.timers.push_back(std::move(stat));
   }
   const auto by_name = [](const auto& a, const auto& b) {
@@ -331,7 +213,57 @@ MetricsSnapshot Registry::snapshot_rank(int rank) const {
   return snap;
 }
 
+}  // namespace
+
+Counter Registry::counter(std::string_view name) {
+  LTFB_CHECK_MSG(valid_metric_name(name),
+                 "telemetry metric name \"" << name << kNameRule);
+  const util::MutexLock lock(metrics_mutex_);
+  return Counter(find_or_add(counters_, gauges_, timers_, name));
+}
+
+Gauge Registry::gauge(std::string_view name) {
+  LTFB_CHECK_MSG(valid_metric_name(name),
+                 "telemetry metric name \"" << name << kNameRule);
+  const util::MutexLock lock(metrics_mutex_);
+  return Gauge(find_or_add(gauges_, counters_, timers_, name));
+}
+
+Timer Registry::timer(std::string_view name) {
+  LTFB_CHECK_MSG(valid_metric_name(name),
+                 "telemetry metric name \"" << name << kNameRule);
+  const util::MutexLock lock(metrics_mutex_);
+  return Timer(find_or_add(timers_, counters_, gauges_, name));
+}
+
+MetricsSnapshot Registry::snapshot() const {
+  const util::MutexLock lock(metrics_mutex_);
+  return build_snapshot(counters_, gauges_, timers_, -1,
+                        rate_epoch_ns_.load(std::memory_order_relaxed));
+}
+
+MetricsSnapshot Registry::snapshot_rank(int rank) const {
+  LTFB_CHECK_MSG(rank >= 0 && rank < detail::kMaxRankScopes,
+                 "telemetry snapshot_rank(" << rank << ") outside [0, "
+                                            << detail::kMaxRankScopes << ")");
+  const util::MutexLock lock(metrics_mutex_);
+  return build_snapshot(counters_, gauges_, timers_, rank,
+                        rate_epoch_ns_.load(std::memory_order_relaxed));
+}
+
 void Registry::reset_metrics() noexcept {
+  const auto zero_gauge = [](detail::GaugeRankCell& cell) {
+    cell.value.store(0.0, std::memory_order_relaxed);
+    cell.max.store(0.0, std::memory_order_relaxed);
+    cell.sets.store(0, std::memory_order_relaxed);
+  };
+  const auto zero_timer = [](detail::TimerRankCell& cell) {
+    cell.count.store(0, std::memory_order_relaxed);
+    cell.sum_s.store(0.0, std::memory_order_relaxed);
+    cell.min_s.store(std::numeric_limits<double>::infinity(),
+                     std::memory_order_relaxed);
+    cell.max_s.store(0.0, std::memory_order_relaxed);
+  };
   const util::MutexLock lock(metrics_mutex_);
   for (auto& [name, slot] : counters_) {
     slot->value.store(0, std::memory_order_relaxed);
@@ -340,31 +272,15 @@ void Registry::reset_metrics() noexcept {
     }
   }
   for (auto& [name, slot] : gauges_) {
-    slot->value.store(0.0, std::memory_order_relaxed);
-    slot->max.store(0.0, std::memory_order_relaxed);
-    slot->sets.store(0, std::memory_order_relaxed);
-    for (auto& cell : slot->rank) {
-      cell.value.store(0.0, std::memory_order_relaxed);
-      cell.max.store(0.0, std::memory_order_relaxed);
-      cell.sets.store(0, std::memory_order_relaxed);
-    }
+    zero_gauge(*slot);
+    for (auto& cell : slot->rank) zero_gauge(cell);
   }
   for (auto& [name, slot] : timers_) {
-    slot->count.store(0, std::memory_order_relaxed);
-    slot->sum_s.store(0.0, std::memory_order_relaxed);
-    slot->min_s.store(std::numeric_limits<double>::infinity(),
-                      std::memory_order_relaxed);
-    slot->max_s.store(0.0, std::memory_order_relaxed);
+    zero_timer(*slot);
     for (auto& bucket : slot->buckets) {
       bucket.store(0, std::memory_order_relaxed);
     }
-    for (auto& cell : slot->rank) {
-      cell.count.store(0, std::memory_order_relaxed);
-      cell.sum_s.store(0.0, std::memory_order_relaxed);
-      cell.min_s.store(std::numeric_limits<double>::infinity(),
-                       std::memory_order_relaxed);
-      cell.max_s.store(0.0, std::memory_order_relaxed);
-    }
+    for (auto& cell : slot->rank) zero_timer(cell);
   }
   rate_epoch_ns_.store(now_ns(), std::memory_order_relaxed);
 }
@@ -372,59 +288,6 @@ void Registry::reset_metrics() noexcept {
 // ---------------------------------------------------------------------------
 // Trace spans
 // ---------------------------------------------------------------------------
-
-Span::~Span() {
-  if (name_ != nullptr) {
-    Registry::instance().record_span(name_, start_ns_,
-                                     now_ns() - start_ns_);
-  }
-  // Popped whenever the ctor pushed, even if the recorder was disabled
-  // in between — the flight span stack must stay balanced.
-  if (flight_) {
-    detail::flight_span_end();
-  }
-}
-
-Registry::TraceBuffer& Registry::local_buffer() {
-  thread_local std::shared_ptr<TraceBuffer> buffer;
-  if (!buffer) {
-    buffer = std::make_shared<TraceBuffer>();
-    const util::MutexLock lock(trace_mutex_);
-    buffer->tid = next_tid_++;
-    buffers_.push_back(buffer);
-  }
-  return *buffer;
-}
-
-void Registry::record_span(const char* name, std::uint64_t start_ns,
-                           std::uint64_t dur_ns) {
-  LTFB_ASSERT(name != nullptr);
-  TraceBuffer& buffer = local_buffer();
-  const util::MutexLock lock(buffer.mutex);
-  if (buffer.spans.size() >= kMaxSpansPerThread) {
-    dropped_spans_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  buffer.spans.push_back({name, start_ns, dur_ns, detail::tl_bound_rank});
-}
-
-void Registry::record_flow(std::uint64_t id, FlowPhase phase) {
-  if (!enabled() || id == 0) return;
-  TraceBuffer& buffer = local_buffer();
-  const util::MutexLock lock(buffer.mutex);
-  if (buffer.flows.size() >= kMaxSpansPerThread) {
-    dropped_spans_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  buffer.flows.push_back({id, now_ns(), detail::tl_bound_rank,
-                          static_cast<char>(phase)});
-}
-
-void Registry::name_current_thread(std::string_view name) {
-  TraceBuffer& buffer = local_buffer();
-  const util::MutexLock lock(buffer.mutex);
-  buffer.thread_name.assign(name);
-}
 
 void Registry::record_sim_span(std::string name, double start_s,
                                double duration_s, int lane) {
@@ -436,48 +299,46 @@ void Registry::record_sim_span(std::string name, double start_s,
                              << start_s << "s duration " << duration_s
                              << "s");
   if (!enabled()) return;
-  const util::MutexLock lock(trace_mutex_);
-  if (sim_spans_.size() >= kMaxSpansPerThread) {
-    dropped_spans_.fetch_add(1, std::memory_order_relaxed);
+  const util::MutexLock lock(export_mutex_);
+  if (sim_spans_.size() >= kMaxSimSpans) {
+    detail::g_trace_dropped.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   sim_spans_.push_back({std::move(name), start_s, duration_s, lane});
 }
 
-std::size_t Registry::span_count() const {
-  const util::MutexLock lock(trace_mutex_);
+namespace {
+
+/// Trace items whose `ph` is one of `phases`.
+std::size_t count_items(std::string_view phases) {
   std::size_t total = 0;
-  for (const auto& buffer : buffers_) {
-    const util::MutexLock buffer_lock(buffer->mutex);
-    total += buffer->spans.size();
-  }
+  flight::detail::for_each_trace_item([&](const auto& item) {
+    total += phases.find(item.ph) != std::string_view::npos;
+  });
   return total;
 }
 
+}  // namespace
+
+std::size_t Registry::span_count() const {
+  const util::MutexLock lock(export_mutex_);
+  return count_items("X");
+}
+
 std::size_t Registry::sim_span_count() const {
-  const util::MutexLock lock(trace_mutex_);
+  const util::MutexLock lock(export_mutex_);
   return sim_spans_.size();
 }
 
 std::size_t Registry::flow_count() const {
-  const util::MutexLock lock(trace_mutex_);
-  std::size_t total = 0;
-  for (const auto& buffer : buffers_) {
-    const util::MutexLock buffer_lock(buffer->mutex);
-    total += buffer->flows.size();
-  }
-  return total;
+  const util::MutexLock lock(export_mutex_);
+  return count_items("sf");
 }
 
 void Registry::clear_trace() {
-  const util::MutexLock lock(trace_mutex_);
-  for (const auto& buffer : buffers_) {
-    const util::MutexLock buffer_lock(buffer->mutex);
-    buffer->spans.clear();
-    buffer->flows.clear();
-  }
+  const util::MutexLock lock(export_mutex_);
+  flight::detail::clear_retained_trace();
   sim_spans_.clear();
-  dropped_spans_.store(0, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -576,7 +437,8 @@ void Registry::write_trace_json(std::ostream& out) const {
   out << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
   bool first = true;
   const auto emit = [&](const std::string& line) {
-    out << (first ? "" : ",\n") << "  " << line;
+    out.write(first ? "  " : ",\n  ", first ? 2 : 4);
+    out.write(line.data(), static_cast<std::streamsize>(line.size()));
     first = false;
   };
   // Process metadata for the two fixed time-base tracks.
@@ -585,99 +447,59 @@ void Registry::write_trace_json(std::ostream& out) const {
   emit(R"({"ph": "M", "name": "process_name", "pid": 2, "tid": 0, )"
        R"("args": {"name": "simulator virtual time"}})");
 
-  const util::MutexLock lock(trace_mutex_);
-
-  // Pass 1: which rank pids appear, and which (pid, tid) tracks belong to
-  // named threads — metadata must cover every track we are about to emit
-  // events on, including a named worker whose spans land on several rank
-  // pids over its lifetime.
+  const util::MutexLock lock(export_mutex_);
+  // Metadata is emitted last: Chrome and Perfetto read it wherever it
+  // appears, and only the events tell which rank pids and named (pid,
+  // tid) tracks exist — a named pool worker's spans can land on several
+  // rank pids over its lifetime.
   std::array<bool, static_cast<std::size_t>(detail::kMaxRankScopes)>
       rank_seen{};
-  struct NamedTrack {
-    int pid;
-    std::uint32_t tid;
-    // Copied (not pointed-to) under the buffer's mutex: the name is
-    // dereferenced after that lock is released, and the owning thread may
-    // rename itself concurrently.
-    std::string name;
+  std::map<std::pair<int, std::uint32_t>, std::string> named_tracks;
+  // Events are formatted without streams: a trace can hold millions.
+  std::string text;
+  const auto append_int = [&text](std::uint64_t v, int base = 10) {
+    char buf[24];
+    text.append(buf, std::to_chars(buf, buf + sizeof(buf), v, base).ptr);
   };
-  std::vector<NamedTrack> named_tracks;
-  for (const auto& buffer : buffers_) {
-    const util::MutexLock buffer_lock(buffer->mutex);
-    std::array<bool, static_cast<std::size_t>(detail::kMaxRankScopes)>
-        here{};
-    bool unbound_here = false;
-    for (const auto& span : buffer->spans) {
-      if (span.rank >= 0) {
-        rank_seen[static_cast<std::size_t>(span.rank)] = true;
-        here[static_cast<std::size_t>(span.rank)] = true;
-      } else {
-        unbound_here = true;
-      }
+  // Nanoseconds as exact microseconds (ns/1000 "." ns%1000).
+  const auto append_us = [&](std::uint64_t ns) {
+    append_int(ns / 1000);
+    const char frac[4] = {'.', static_cast<char>('0' + ns / 100 % 10),
+                          static_cast<char>('0' + ns / 10 % 10),
+                          static_cast<char>('0' + ns % 10)};
+    text.append(frac, sizeof(frac));
+  };
+  flight::detail::for_each_trace_item([&](const auto& item) {
+    const int pid = rank_pid(item.rank);
+    if (item.rank >= 0) rank_seen[static_cast<std::size_t>(item.rank)] = true;
+    if (!item.thread.empty()) {
+      named_tracks.try_emplace({pid, item.tid}, item.thread);
     }
-    for (const auto& flow : buffer->flows) {
-      if (flow.rank >= 0) {
-        rank_seen[static_cast<std::size_t>(flow.rank)] = true;
-        here[static_cast<std::size_t>(flow.rank)] = true;
-      } else {
-        unbound_here = true;
-      }
-    }
-    if (!buffer->thread_name.empty()) {
-      if (unbound_here) {
-        named_tracks.push_back({1, buffer->tid, buffer->thread_name});
-      }
-      for (int r = 0; r < detail::kMaxRankScopes; ++r) {
-        if (here[static_cast<std::size_t>(r)]) {
-          named_tracks.push_back(
-              {rank_pid(r), buffer->tid, buffer->thread_name});
-        }
-      }
-    }
-  }
-  for (int r = 0; r < detail::kMaxRankScopes; ++r) {
-    if (!rank_seen[static_cast<std::size_t>(r)]) continue;
-    std::ostringstream line;
-    line << R"({"ph": "M", "name": "process_name", "pid": )" << rank_pid(r)
-         << R"(, "tid": 0, "args": {"name": "rank )" << r << R"("}})";
-    emit(line.str());
-  }
-  for (const auto& track : named_tracks) {
-    std::ostringstream line;
-    line << R"({"ph": "M", "name": "thread_name", "pid": )" << track.pid
-         << R"(, "tid": )" << track.tid << R"(, "args": {"name": ")"
-         << json_escape(track.name) << R"("}})";
-    emit(line.str());
-  }
-
-  // Pass 2: the events themselves.
-  for (const auto& buffer : buffers_) {
-    const util::MutexLock buffer_lock(buffer->mutex);
-    for (const auto& span : buffer->spans) {
-      std::ostringstream line;
-      line << "{\"name\": \"" << json_escape(span.name)
-           << "\", \"cat\": \"wall\", \"ph\": \"X\", \"ts\": "
-           << json_double(static_cast<double>(span.start_ns) * 1e-3)
-           << ", \"dur\": "
-           << json_double(static_cast<double>(span.dur_ns) * 1e-3)
-           << ", \"pid\": " << rank_pid(span.rank)
-           << ", \"tid\": " << buffer->tid << "}";
-      emit(line.str());
-    }
-    for (const auto& flow : buffer->flows) {
+    text.clear();
+    if (item.ph == 'X') {
+      text += "{\"name\": \"";
+      text += json_escape(item.name);
+      text += "\", \"cat\": \"wall\", \"ph\": \"X\", \"ts\": ";
+      append_us(item.ts_ns);
+      text += ", \"dur\": ";
+      append_us(item.dur_ns);
+    } else {
       // Flow ids can use all 64 bits; emit as hex strings so no JSON
       // consumer rounds them through a double.
-      std::ostringstream line;
-      line << "{\"name\": \"comm/flow\", \"cat\": \"flow\", \"ph\": \""
-           << flow.phase << "\", \"id\": \"0x" << std::hex << flow.id
-           << std::dec << "\", \"ts\": "
-           << json_double(static_cast<double>(flow.ts_ns) * 1e-3)
-           << ", \"pid\": " << rank_pid(flow.rank)
-           << ", \"tid\": " << buffer->tid
-           << (flow.phase == 'f' ? ", \"bp\": \"e\"}" : "}");
-      emit(line.str());
+      text += "{\"name\": \"comm/flow\", \"cat\": \"flow\", \"ph\": \"";
+      text += item.ph;
+      text += "\", \"id\": \"0x";
+      append_int(item.flow, 16);
+      text += "\", \"ts\": ";
+      append_us(item.ts_ns);
     }
-  }
+    text += ", \"pid\": ";
+    append_int(static_cast<std::uint64_t>(pid));
+    text += ", \"tid\": ";
+    append_int(item.tid);
+    text += item.ph == 'f' ? ", \"bp\": \"e\"}" : "}";
+    emit(text);
+  });
   for (const auto& span : sim_spans_) {
     std::ostringstream line;
     line << "{\"name\": \"" << json_escape(span.name)
@@ -687,6 +509,22 @@ void Registry::write_trace_json(std::ostream& out) const {
          << ", \"pid\": 2, \"tid\": " << span.lane << "}";
     emit(line.str());
   }
+  for (int r = 0; r < detail::kMaxRankScopes; ++r) {
+    if (!rank_seen[static_cast<std::size_t>(r)]) continue;
+    emit(R"({"ph": "M", "name": "process_name", "pid": )" +
+         std::to_string(rank_pid(r)) +
+         R"(, "tid": 0, "args": {"name": "rank )" + std::to_string(r) +
+         R"("}})");
+  }
+  for (const auto& [track, name] : named_tracks) {
+    emit(R"({"ph": "M", "name": "thread_name", "pid": )" +
+         std::to_string(track.first) + R"(, "tid": )" +
+         std::to_string(track.second) + R"(, "args": {"name": ")" +
+         json_escape(name) + R"("}})");
+  }
+  emit(R"({"ph": "M", "name": "dropped_events", "pid": 1, "tid": 0, )"
+       R"("args": {"count": )" +
+       std::to_string(dropped_spans()) + "}}");
   out << "\n]}\n";
 }
 
@@ -728,13 +566,10 @@ void Registry::log_metrics(util::LogLevel level) const {
 // ---------------------------------------------------------------------------
 
 bool init_from_env() {
-  const char* toggle = std::getenv("LTFB_TELEMETRY");
-  const char* trace_out = std::getenv("LTFB_TELEMETRY_OUT");
-  const char* metrics_out = std::getenv("LTFB_TELEMETRY_METRICS");
-  bool on = trace_out != nullptr || metrics_out != nullptr;
-  if (toggle != nullptr) {
-    on = !(toggle[0] == '0' && toggle[1] == '\0');
-  }
+  const bool on = std::getenv("LTFB_TELEMETRY") != nullptr
+                      ? util::env_flag("LTFB_TELEMETRY")
+                      : std::getenv("LTFB_TELEMETRY_OUT") != nullptr ||
+                            std::getenv("LTFB_TELEMETRY_METRICS") != nullptr;
   Registry::instance().set_enabled(on);
   return on;
 }

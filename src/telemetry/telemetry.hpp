@@ -19,15 +19,15 @@
 // Chrome-trace pid (kRankPidBase + rank) instead of the merged pid 1.
 // Helper threads doing work on behalf of a rank (DataStore prefetch,
 // ComputePool workers) inherit the caller's binding via RankBinding.
-// Cross-rank message edges are recorded as Chrome flow events
-// (Registry::record_flow) so Perfetto draws send→recv arrows.
+// Cross-rank message edges (the comm layer's CommSend/CommRecv events)
+// export as Chrome flow events so Perfetto draws send→recv arrows.
 //
 // Naming convention: `subsystem/verb` — lowercase [a-z0-9_] segments
 // separated by '/', e.g. "datastore/fetch", "comm/allreduce",
 // "ltfb/round". Registration validates this; tools/ltfb_lint.py enforces
 // it statically for literals in src/, bench/, and examples/.
 //
-// Overhead contract (verified by bench/telemetry_overhead):
+// Overhead contract (estimated by bench/telemetry_overhead):
 //   * compile-time: configure with -DLTFB_TELEMETRY=OFF and every macro
 //     below compiles to nothing;
 //   * runtime: recording is gated on one relaxed atomic load — with the
@@ -35,11 +35,11 @@
 //     indistinguishable from uninstrumented ones, and enabled they stay
 //     within 2% of step time.
 //
-// Thread-safety: counters/gauges/timers accumulate lock-free on atomics;
-// spans append to per-thread buffers under a per-buffer mutex that only
-// the owning thread and exporters ever contend on. All of it is
-// TSan-clean (tests/test_telemetry.cpp hammers it under the PR 1
-// LTFB_SANITIZE=thread mode).
+// Thread-safety: counters/gauges/timers accumulate lock-free on atomics.
+// Spans and flow endpoints are events in the flight recorder's lock-free
+// per-thread record (telemetry/flight_recorder.hpp), the one event store
+// Chrome traces and postmortems both read. All of it is TSan-clean
+// (tests/test_telemetry.cpp hammers it under LTFB_SANITIZE=thread).
 #pragma once
 
 #include <algorithm>
@@ -94,24 +94,46 @@ std::uint64_t now_ns() noexcept;
 // ---------------------------------------------------------------------------
 
 namespace detail {
-inline std::atomic<bool> g_enabled{false};
+/// The two recording switches, one bit each in g_switches: tracing
+/// (Registry::set_enabled: metrics plus retained trace events) and
+/// postmortems (flight::set_enabled). Independent of each other; the
+/// event ring records while either is on.
+inline constexpr std::uint8_t kTraceSwitch = 1;
+inline constexpr std::uint8_t kFlightSwitch = 2;
+inline std::atomic<std::uint8_t> g_switches{0};
 
-/// Flight-recorder gate, owned by flight::set_enabled (flight_recorder.cpp)
-/// but declared here so Span can feed the per-thread live span stacks
-/// without a circular include. Independent of g_enabled: postmortems work
-/// with tracing off and vice versa.
-inline std::atomic<bool> g_flight_enabled{false};
+inline bool recording() noexcept {
+  return g_switches.load(std::memory_order_relaxed) != 0;
+}
 
-/// Out-of-line flight-recorder span-stack hooks (flight_recorder.cpp);
-/// called only behind a g_flight_enabled relaxed load.
-void flight_span_begin(const char* name) noexcept;
-void flight_span_end() noexcept;
+inline void set_switch(std::uint8_t bit, bool on) noexcept {
+  if (on) {
+    g_switches.fetch_or(bit, std::memory_order_relaxed);
+  } else {
+    g_switches.fetch_and(static_cast<std::uint8_t>(~bit),
+                         std::memory_order_relaxed);
+  }
+}
+
+/// Trace records (spans, flow endpoints, sim spans) dropped past their
+/// caps since the last Registry::clear_trace().
+inline std::atomic<std::uint64_t> g_trace_dropped{0};
 }  // namespace detail
+
+namespace flight::detail {
+/// Span edges into the calling thread's event ring (flight_recorder.cpp);
+/// called only while recording(). span_begin returns whether the span is
+/// traced (retained for Chrome export); span_end takes that answer back so
+/// a span is retained whole or not at all.
+bool span_begin(const char* name) noexcept;
+void span_end(const char* name, bool traced) noexcept;
+}  // namespace flight::detail
 
 /// True when the registry is recording. One relaxed load — THE hot-path
 /// check; every macro and handle method bails through it first.
 inline bool enabled() noexcept {
-  return detail::g_enabled.load(std::memory_order_relaxed);
+  return (detail::g_switches.load(std::memory_order_relaxed) &
+          detail::kTraceSwitch) != 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -212,10 +234,7 @@ struct GaugeRankCell {
   std::atomic<std::uint64_t> sets{0};
 };
 
-struct GaugeSlot {
-  std::atomic<double> value{0.0};
-  std::atomic<double> max{0.0};
-  std::atomic<std::uint64_t> sets{0};
+struct GaugeSlot : GaugeRankCell {
   std::array<GaugeRankCell, kMaxRankScopes> rank{};
 };
 
@@ -230,11 +249,7 @@ struct TimerRankCell {
   std::atomic<double> max_s{0.0};
 };
 
-struct TimerSlot {
-  std::atomic<std::uint64_t> count{0};
-  std::atomic<double> sum_s{0.0};
-  std::atomic<double> min_s{std::numeric_limits<double>::infinity()};
-  std::atomic<double> max_s{0.0};
+struct TimerSlot : TimerRankCell {
   std::array<std::atomic<std::uint64_t>, kTimerBuckets> buckets{};
   std::array<TimerRankCell, kMaxRankScopes> rank{};
 };
@@ -276,16 +291,14 @@ class Gauge {
 
   void set(double v) noexcept {
     if (slot_ == nullptr || !enabled()) return;
-    slot_->value.store(v, std::memory_order_relaxed);
-    detail::atomic_max(slot_->max, v);
-    slot_->sets.fetch_add(1, std::memory_order_relaxed);
-    const int rank = detail::tl_bound_rank;
-    if (rank >= 0) {
-      auto& cell = slot_->rank[static_cast<std::size_t>(rank)];
+    const auto update = [v](detail::GaugeRankCell& cell) {
       cell.value.store(v, std::memory_order_relaxed);
       detail::atomic_max(cell.max, v);
       cell.sets.fetch_add(1, std::memory_order_relaxed);
-    }
+    };
+    update(*slot_);
+    const int rank = detail::tl_bound_rank;
+    if (rank >= 0) update(slot_->rank[static_cast<std::size_t>(rank)]);
   }
   double value() const noexcept {
     return slot_ ? slot_->value.load(std::memory_order_relaxed) : 0.0;
@@ -309,22 +322,19 @@ class Timer {
   void record(double seconds) noexcept {
     if (slot_ == nullptr || !enabled()) return;
     if (seconds < 0.0) seconds = 0.0;
-    slot_->count.fetch_add(1, std::memory_order_relaxed);
-    detail::atomic_add(slot_->sum_s, seconds);
-    detail::atomic_min(slot_->min_s, seconds);
-    detail::atomic_max(slot_->max_s, seconds);
+    const auto update = [seconds](detail::TimerRankCell& cell) {
+      cell.count.fetch_add(1, std::memory_order_relaxed);
+      detail::atomic_add(cell.sum_s, seconds);
+      detail::atomic_min(cell.min_s, seconds);
+      detail::atomic_max(cell.max_s, seconds);
+    };
+    update(*slot_);
     const auto ns = static_cast<std::uint64_t>(seconds * 1e9);
     const std::size_t bucket =
         std::min<std::size_t>(std::bit_width(ns), detail::kTimerBuckets - 1);
     slot_->buckets[bucket].fetch_add(1, std::memory_order_relaxed);
     const int rank = detail::tl_bound_rank;
-    if (rank >= 0) {
-      auto& cell = slot_->rank[static_cast<std::size_t>(rank)];
-      cell.count.fetch_add(1, std::memory_order_relaxed);
-      detail::atomic_add(cell.sum_s, seconds);
-      detail::atomic_min(cell.min_s, seconds);
-      detail::atomic_max(cell.max_s, seconds);
-    }
+    if (rank >= 0) update(slot_->rank[static_cast<std::size_t>(rank)]);
   }
 
   std::uint64_t count() const noexcept {
@@ -369,32 +379,36 @@ class ScopedTimer {
 // Trace spans
 // ---------------------------------------------------------------------------
 
-/// RAII wall-clock trace span. `name` must be a string literal (or
-/// otherwise outlive the process's last trace export) — spans store the
-/// pointer, not a copy, to keep the hot path allocation-free. The begin
-/// timestamp, duration, and recording thread are captured; export groups
-/// spans per thread, which is what renders nesting in Perfetto.
+/// RAII wall-clock trace span: SpanBegin/SpanEnd events in the calling
+/// thread's event ring, traced iff tracing was on when it began. `name`
+/// must be a string literal (or otherwise outlive the process's last trace
+/// export) — events store the pointer, keeping the hot path allocation-free.
 class Span {
  public:
   explicit Span(const char* name) {
-    if (enabled()) {
+    if (detail::recording()) {
       name_ = name;
-      start_ns_ = now_ns();
-    }
-    if (detail::g_flight_enabled.load(std::memory_order_relaxed)) {
-      flight_ = true;
-      detail::flight_span_begin(name);
+      traced_ = flight::detail::span_begin(name);
     }
   }
-  ~Span();
+  // Ends whenever the ctor began, even if recording stopped in between —
+  // the per-thread span stack must stay balanced.
+  ~Span() {
+    if (name_ != nullptr) flight::detail::span_end(name_, traced_);
+  }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
   const char* name_ = nullptr;
-  std::uint64_t start_ns_ = 0;
-  bool flight_ = false;
+  bool traced_ = false;
 };
+
+/// Records a span that already happened, [start_ns, end_ns] on the now_ns
+/// clock, as a SpanBegin/SpanEnd pair — for intervals that open and close
+/// in different scopes, where a Span cannot wrap them.
+void record_interval(const char* name, std::uint64_t start_ns,
+                     std::uint64_t end_ns) noexcept;
 
 // ---------------------------------------------------------------------------
 // Snapshot types
@@ -461,17 +475,13 @@ std::string json_double(double v);
 /// virtual-time track, so rank pids start above both.
 inline constexpr int kRankPidBase = 10;
 
-/// Endpoint kind of a flow point: Start on the sending side, End on the
-/// receiving side. Values are the Chrome trace `ph` letters.
-enum class FlowPhase : char { Start = 's', End = 'f' };
-
 class Registry {
  public:
   static Registry& instance();
 
   /// Runtime gate shared by every handle, macro, and span.
   void set_enabled(bool on) noexcept {
-    detail::g_enabled.store(on, std::memory_order_relaxed);
+    detail::set_switch(detail::kTraceSwitch, on);
   }
   bool is_enabled() const noexcept { return enabled(); }
 
@@ -495,13 +505,7 @@ class Registry {
   /// (so cached `static` handles in the macros cannot dangle).
   void reset_metrics() noexcept;
 
-  // -- trace spans ---------------------------------------------------------
-
-  /// Called by ~Span on the recording thread; appends to that thread's
-  /// buffer. Buffers cap at kMaxSpansPerThread; overflow increments
-  /// dropped_spans() instead of growing without bound.
-  void record_span(const char* name, std::uint64_t start_ns,
-                   std::uint64_t dur_ns);
+  // -- trace (wall-clock spans and flows: the flight recorder's events) ---
 
   /// Simulator spans carry VIRTUAL time (seconds on the DES clock), not
   /// wall time; they are exported on a separate process track ("sim",
@@ -510,21 +514,12 @@ class Registry {
   void record_sim_span(std::string name, double start_s, double duration_s,
                        int lane);
 
-  /// Records one endpoint of a cross-rank message edge on the calling
-  /// thread's buffer (rank taken from the thread's binding). Both
-  /// endpoints of an edge share `id`; the exporter emits Chrome flow
-  /// events (`ph:"s"` / `ph:"f"`) so Perfetto draws the arrow. id 0 is
-  /// reserved ("no flow") and dropped.
-  void record_flow(std::uint64_t id, FlowPhase phase);
-
-  /// Thread-name registration backing telemetry::set_thread_name().
-  void name_current_thread(std::string_view name);
-
+  /// Completed wall-clock spans / flow endpoints the trace would export.
   std::size_t span_count() const;
   std::size_t sim_span_count() const;
   std::size_t flow_count() const;
   std::uint64_t dropped_spans() const noexcept {
-    return dropped_spans_.load(std::memory_order_relaxed);
+    return detail::g_trace_dropped.load(std::memory_order_relaxed);
   }
   void clear_trace();
 
@@ -537,11 +532,12 @@ class Registry {
   /// Chrome trace event format: {"traceEvents":[...]} of "ph":"X"
   /// complete events (ts/dur in microseconds), pid 1 = unbound wall
   /// clock, pid 2 = simulator virtual time, pid kRankPidBase + r = rank
-  /// r's wall-clock track (spans recorded under an active bind_rank).
+  /// r's wall-clock track (spans that ended under an active bind_rank).
   /// process_name metadata labels every rank pid, thread_name metadata
-  /// labels tracks of threads that called set_thread_name, and matched
-  /// record_flow endpoints export as "ph":"s"/"f" flow events. Loadable
-  /// by chrome://tracing and https://ui.perfetto.dev.
+  /// labels tracks of threads that called set_thread_name, a
+  /// "dropped_events" metadata event carries dropped_spans(), and comm
+  /// send/receive events export as "ph":"s"/"f" flow events. Loadable by
+  /// chrome://tracing and https://ui.perfetto.dev.
   std::string trace_json() const;
   void write_trace_json(std::ostream& out) const;
   bool write_trace_json(const std::string& path) const;
@@ -554,12 +550,9 @@ class Registry {
  private:
   Registry() = default;
 
-  struct TraceBuffer;
   struct SimSpan;
 
-  TraceBuffer& local_buffer();
-
-  static constexpr std::size_t kMaxSpansPerThread = 1u << 20;
+  static constexpr std::size_t kMaxSimSpans = 1u << 20;
 
   // Guards slot REGISTRATION only; the slots themselves are lock-free
   // atomics updated through stable unique_ptrs, so handles never need the
@@ -572,18 +565,11 @@ class Registry {
   std::vector<std::pair<std::string, std::unique_ptr<detail::TimerSlot>>>
       timers_ LTFB_GUARDED_BY(metrics_mutex_);
 
-  // Lock order: trace_mutex_ before any TraceBuffer::mutex (the exporters
-  // iterate buffers_ with the registry lock held and lock each buffer in
-  // turn). Recording threads lock ONLY their own buffer's mutex — except
-  // the first record on a thread, where local_buffer() registers the
-  // buffer under trace_mutex_ before any buffer lock is taken. See
-  // DESIGN.md §12 for the full capability map.
-  mutable util::Mutex trace_mutex_;
-  std::vector<std::shared_ptr<TraceBuffer>> buffers_
-      LTFB_GUARDED_BY(trace_mutex_);
-  std::vector<SimSpan> sim_spans_ LTFB_GUARDED_BY(trace_mutex_);
-  std::uint32_t next_tid_ LTFB_GUARDED_BY(trace_mutex_) = 1;
-  std::atomic<std::uint64_t> dropped_spans_{0};
+  // Leaf lock: guards the simulator spans and serializes trace readers
+  // (exporters, counts) against clear_trace freeing retained events.
+  // Recording wall-clock events never takes it. See DESIGN.md §12.
+  mutable util::Mutex export_mutex_;
+  std::vector<SimSpan> sim_spans_ LTFB_GUARDED_BY(export_mutex_);
 
   /// Start of the rate_per_s window: 0 (the now_ns epoch) until the first
   /// reset_metrics() stamps it forward.
@@ -594,8 +580,10 @@ class Registry {
 // Environment-driven setup (examples / benches)
 // ---------------------------------------------------------------------------
 
-/// Enables the registry when LTFB_TELEMETRY=1 or LTFB_TELEMETRY_OUT is
-/// set. Returns whether telemetry ended up enabled.
+/// Enables the registry from the environment: LTFB_TELEMETRY, when set,
+/// decides (util::env_flag: empty or "0" is off); when unset, setting
+/// LTFB_TELEMETRY_OUT or LTFB_TELEMETRY_METRICS enables it. Returns
+/// whether telemetry ended up enabled.
 bool init_from_env();
 
 /// Writes the trace to $LTFB_TELEMETRY_OUT and the metrics dump to
@@ -626,32 +614,22 @@ std::string flush_from_env();
   const ::ltfb::telemetry::Span LTFB_TELEMETRY_CONCAT(             \
       ltfb_span_, __COUNTER__)(name)
 
-#define LTFB_COUNTER_ADD(name, n)                                  \
+/// One metric update through a handle cached in a function-local static.
+#define LTFB_TELEMETRY_UPDATE_(Handle, registrar, name, call)      \
   do {                                                             \
     if (::ltfb::telemetry::enabled()) {                            \
-      static ::ltfb::telemetry::Counter ltfb_tele_slot_ =          \
-          ::ltfb::telemetry::Registry::instance().counter(name);   \
-      ltfb_tele_slot_.add(n);                                      \
+      static ::ltfb::telemetry::Handle ltfb_tele_slot_ =           \
+          ::ltfb::telemetry::Registry::instance().registrar(name); \
+      ltfb_tele_slot_.call;                                        \
     }                                                              \
   } while (false)
 
-#define LTFB_GAUGE_SET(name, v)                                    \
-  do {                                                             \
-    if (::ltfb::telemetry::enabled()) {                            \
-      static ::ltfb::telemetry::Gauge ltfb_tele_slot_ =            \
-          ::ltfb::telemetry::Registry::instance().gauge(name);     \
-      ltfb_tele_slot_.set(v);                                      \
-    }                                                              \
-  } while (false)
-
-#define LTFB_TIMER_RECORD(name, seconds)                           \
-  do {                                                             \
-    if (::ltfb::telemetry::enabled()) {                            \
-      static ::ltfb::telemetry::Timer ltfb_tele_slot_ =            \
-          ::ltfb::telemetry::Registry::instance().timer(name);     \
-      ltfb_tele_slot_.record(seconds);                             \
-    }                                                              \
-  } while (false)
+#define LTFB_COUNTER_ADD(name, n) \
+  LTFB_TELEMETRY_UPDATE_(Counter, counter, name, add(n))
+#define LTFB_GAUGE_SET(name, v) \
+  LTFB_TELEMETRY_UPDATE_(Gauge, gauge, name, set(v))
+#define LTFB_TIMER_RECORD(name, seconds) \
+  LTFB_TELEMETRY_UPDATE_(Timer, timer, name, record(seconds))
 
 /// RAII: the enclosing scope's duration lands in timer `name`. The handle
 /// is cached in a function-local static, so steady-state cost is the
@@ -668,20 +646,10 @@ std::string flush_from_env();
 #else  // LTFB_TELEMETRY_DISABLED
 #define LTFB_TELEMETRY_ENABLED 0
 
-#define LTFB_SPAN(name) \
-  do {                  \
-  } while (false)
-#define LTFB_COUNTER_ADD(name, n) \
-  do {                            \
-  } while (false)
-#define LTFB_GAUGE_SET(name, v) \
-  do {                          \
-  } while (false)
-#define LTFB_TIMER_RECORD(name, seconds) \
-  do {                                   \
-  } while (false)
-#define LTFB_TIMED_SCOPE(name) \
-  do {                         \
-  } while (false)
+#define LTFB_SPAN(name) do { } while (false)
+#define LTFB_COUNTER_ADD(name, n) do { } while (false)
+#define LTFB_GAUGE_SET(name, v) do { } while (false)
+#define LTFB_TIMER_RECORD(name, seconds) do { } while (false)
+#define LTFB_TIMED_SCOPE(name) do { } while (false)
 
 #endif  // LTFB_TELEMETRY_DISABLED

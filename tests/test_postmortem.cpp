@@ -70,6 +70,51 @@ class PostmortemTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
+// ---- cross-process supervision ---------------------------------------------
+//
+// Declared first so it forks before any test in this binary has started a
+// thread: ThreadSanitizer does not support forking a multi-threaded
+// process, and later tests leave pool workers running.
+
+TEST_F(PostmortemTest, SpawnKilledRankProducesMergedReport) {
+  // Children read the flight configuration from the environment after
+  // fork (spawn_socket_mesh arms the recorder before the backend is
+  // constructed); the parent merges after reaping.
+  ASSERT_EQ(::setenv("LTFB_FLIGHT_RECORDER", "1", 1), 0);
+  ASSERT_EQ(::setenv("LTFB_POSTMORTEM_DIR", dir_.string().c_str(), 1), 0);
+  ASSERT_EQ(::setenv("LTFB_FAULT_SCHEDULE", "kill:1@3", 1), 0);
+  const auto statuses =
+      comm::World::spawn_processes(2, [](comm::Communicator& comm) {
+        const int peer = 1 - comm.rank();
+        for (int i = 0; i < 6; ++i) {
+          (void)comm.sendrecv(peer, i, comm::Buffer{0x2},
+                              std::chrono::milliseconds(10'000));
+        }
+      });
+  ::unsetenv("LTFB_FAULT_SCHEDULE");
+  ::unsetenv("LTFB_FLIGHT_RECORDER");
+  ::unsetenv("LTFB_POSTMORTEM_DIR");
+
+  ASSERT_EQ(statuses.size(), 2u);
+  EXPECT_EQ(statuses[1].code, comm::World::kExitFaultInjected);
+  EXPECT_FALSE(statuses[0].pre_rendezvous);
+  EXPECT_FALSE(statuses[1].pre_rendezvous);
+
+  ASSERT_TRUE(std::filesystem::exists(dir_ / "postmortem_rank1.json"));
+  const std::string rank1 = slurp(dir_ / "postmortem_rank1.json");
+  EXPECT_NE(rank1.find("\"kind\": \"fault_injected\""), std::string::npos);
+  EXPECT_NE(rank1.find("\"rank\": 1"), std::string::npos);
+
+  ASSERT_TRUE(std::filesystem::exists(dir_ / "postmortem_run.json"));
+  const std::string run = slurp(dir_ / "postmortem_run.json");
+  EXPECT_NE(run.find("\"schema\": \"ltfb-postmortem-run-v1\""),
+            std::string::npos);
+  EXPECT_NE(run.find("\"world_size\": 2"), std::string::npos);
+  // The dead rank's dump is embedded verbatim in its row.
+  EXPECT_NE(run.find("\"exit_code\": 42"), std::string::npos);
+  EXPECT_NE(run.find("ltfb-postmortem-v1"), std::string::npos);
+}
+
 // ---- rings, spans, and the dump shape --------------------------------------
 
 TEST_F(PostmortemTest, DumpCapturesEventsSpansAndRank) {
@@ -232,47 +277,6 @@ TEST_F(PostmortemTest, RunRanksUnwindLeavesPostmortem) {
   EXPECT_NE(body.find("\"kind\": \"fault_injected\""), std::string::npos);
   EXPECT_NE(body.find("\"rank\": 1"), std::string::npos);
   EXPECT_NE(body.find("fault/kill_injected"), std::string::npos);
-}
-
-// ---- cross-process supervision ---------------------------------------------
-
-TEST_F(PostmortemTest, SpawnKilledRankProducesMergedReport) {
-  // Children read the flight configuration from the environment after
-  // fork (spawn_socket_mesh arms the recorder before the backend is
-  // constructed); the parent merges after reaping.
-  ASSERT_EQ(::setenv("LTFB_FLIGHT_RECORDER", "1", 1), 0);
-  ASSERT_EQ(::setenv("LTFB_POSTMORTEM_DIR", dir_.string().c_str(), 1), 0);
-  ASSERT_EQ(::setenv("LTFB_FAULT_SCHEDULE", "kill:1@3", 1), 0);
-  const auto statuses =
-      comm::World::spawn_processes(2, [](comm::Communicator& comm) {
-        const int peer = 1 - comm.rank();
-        for (int i = 0; i < 6; ++i) {
-          (void)comm.sendrecv(peer, i, comm::Buffer{0x2},
-                              std::chrono::milliseconds(10'000));
-        }
-      });
-  ::unsetenv("LTFB_FAULT_SCHEDULE");
-  ::unsetenv("LTFB_FLIGHT_RECORDER");
-  ::unsetenv("LTFB_POSTMORTEM_DIR");
-
-  ASSERT_EQ(statuses.size(), 2u);
-  EXPECT_EQ(statuses[1].code, comm::World::kExitFaultInjected);
-  EXPECT_FALSE(statuses[0].pre_rendezvous);
-  EXPECT_FALSE(statuses[1].pre_rendezvous);
-
-  ASSERT_TRUE(std::filesystem::exists(dir_ / "postmortem_rank1.json"));
-  const std::string rank1 = slurp(dir_ / "postmortem_rank1.json");
-  EXPECT_NE(rank1.find("\"kind\": \"fault_injected\""), std::string::npos);
-  EXPECT_NE(rank1.find("\"rank\": 1"), std::string::npos);
-
-  ASSERT_TRUE(std::filesystem::exists(dir_ / "postmortem_run.json"));
-  const std::string run = slurp(dir_ / "postmortem_run.json");
-  EXPECT_NE(run.find("\"schema\": \"ltfb-postmortem-run-v1\""),
-            std::string::npos);
-  EXPECT_NE(run.find("\"world_size\": 2"), std::string::npos);
-  // The dead rank's dump is embedded verbatim in its row.
-  EXPECT_NE(run.find("\"exit_code\": 42"), std::string::npos);
-  EXPECT_NE(run.find("ltfb-postmortem-v1"), std::string::npos);
 }
 
 }  // namespace

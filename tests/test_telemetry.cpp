@@ -3,19 +3,24 @@
 // hammered concurrently from the ThreadPool (exact totals — run under
 // LTFB_SANITIZE=thread in CI), span nesting, disabled-mode no-ops, the
 // Logger-sink metrics path, rank attribution (per-rank metric scopes,
-// per-rank trace pids, thread_name metadata, flow events), and golden
-// checks that end-to-end runs produce structurally valid Chrome traces.
+// per-rank trace pids, thread_name metadata, flow events), the per-thread
+// trace cap, the LTFB_TELEMETRY switch, and golden checks that end-to-end
+// runs produce structurally valid Chrome traces.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
+#include <cstdlib>
 #include <thread>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -25,6 +30,7 @@
 #include "datastore/data_store.hpp"
 #include "jag/jag_model.hpp"
 #include "minijson.hpp"
+#include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -307,6 +313,59 @@ TEST(TelemetrySpans, SimSpanValidatesArguments) {
                ltfb::InvalidArgument);
   EXPECT_THROW(registry.record_sim_span("testsim/x", 0.0, -1.0, 0),
                ltfb::InvalidArgument);
+}
+
+/// Streams a trace export past without holding it: counts the wall-clock
+/// complete events (one per line) and keeps the dropped_events metadata
+/// line. A capped thread's export is ~100 MB of JSON.
+class TraceLineCounter : public std::streambuf {
+ public:
+  std::size_t wall_spans() const { return wall_spans_; }
+  const std::string& dropped_line() const { return dropped_line_; }
+
+ protected:
+  int_type overflow(int_type c) override {
+    if (c == traits_type::eof()) return traits_type::not_eof(c);
+    if (c != '\n') {
+      line_ += static_cast<char>(c);
+      return c;
+    }
+    if (line_.find(R"("cat": "wall", "ph": "X")") != std::string::npos) {
+      ++wall_spans_;
+    }
+    if (line_.find(R"("name": "dropped_events")") != std::string::npos) {
+      dropped_line_ = line_;
+    }
+    line_.clear();
+    return c;
+  }
+
+ private:
+  std::string line_;
+  std::size_t wall_spans_ = 0;
+  std::string dropped_line_;
+};
+
+TEST(TelemetrySpans, PerThreadCapCountsDropsAndExportsTheCap) {
+  TelemetryGuard guard;
+  auto& registry = Registry::instance();
+  constexpr std::uint64_t kCap = ltfb::telemetry::flight::kTraceCapPerThread;
+  constexpr std::uint64_t kExtra = 7;
+  std::thread recorder([] {
+    for (std::uint64_t i = 0; i < kCap + kExtra; ++i) {
+      LTFB_SPAN("testcap/span");
+    }
+  });
+  recorder.join();
+  EXPECT_EQ(registry.dropped_spans(), kExtra);
+  EXPECT_EQ(registry.span_count(), kCap);
+
+  TraceLineCounter counter;
+  std::ostream out(&counter);
+  registry.write_trace_json(out);
+  EXPECT_EQ(counter.wall_spans(), kCap);
+  EXPECT_NE(counter.dropped_line().find(R"("count": 7})"), std::string::npos)
+      << counter.dropped_line();
 }
 
 // ---------------------------------------------------------------------------
@@ -642,6 +701,32 @@ TEST(TelemetryRank, FlowIdsAreDeterministicPerDirection) {
   // Same (comm, tag, src, dst, seq) inputs on a fresh world -> same ids:
   // both sides of a real wire could derive them independently.
   EXPECT_EQ(first, second);
+}
+
+TEST(TelemetryEnv, EmptyFlagWithoutOutputsLeavesTelemetryOff) {
+  TelemetryGuard guard;
+  // Save and restore the three variables init_from_env reads.
+  const char* names[] = {"LTFB_TELEMETRY", "LTFB_TELEMETRY_OUT",
+                         "LTFB_TELEMETRY_METRICS"};
+  std::vector<std::pair<std::string, std::optional<std::string>>> saved;
+  for (const char* name : names) {
+    const char* value = std::getenv(name);
+    saved.emplace_back(name, value ? std::optional<std::string>(value)
+                                   : std::nullopt);
+    ::unsetenv(name);
+  }
+  ASSERT_EQ(::setenv("LTFB_TELEMETRY", "", 1), 0);
+  EXPECT_FALSE(ltfb::telemetry::init_from_env());
+  EXPECT_FALSE(Registry::instance().is_enabled());
+  ASSERT_EQ(::setenv("LTFB_TELEMETRY", "1", 1), 0);
+  EXPECT_TRUE(ltfb::telemetry::init_from_env());
+  for (const auto& [name, value] : saved) {
+    if (value) {
+      ::setenv(name.c_str(), value->c_str(), 1);
+    } else {
+      ::unsetenv(name.c_str());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

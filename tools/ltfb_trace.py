@@ -4,8 +4,9 @@
 Consumes the artifacts a distributed run leaves behind:
 
   * a Chrome trace (telemetry::Registry::write_trace_json) with one pid per
-    rank (pid = 10 + rank), thread_name/process_name metadata, and
-    cross-rank flow events (ph "s"/"f", matched by id) for message edges;
+    rank (pid = 10 + rank), thread_name/process_name metadata, a
+    dropped_events metadata count, and cross-rank flow events (ph "s"/"f",
+    matched by id) for message edges;
   * optionally the metrics_timeseries.jsonl the in-band cluster aggregator
     appends one JSON object per LTFB round.
 
@@ -22,7 +23,8 @@ and reports:
 --validate turns the analyzer into a CI gate: it checks structural
 invariants of both artifacts (rank pids present, metadata coverage, at
 least one matched flow pair, per-line cluster == sum(per-rank) in the
-timeseries) and exits non-zero on the first violation. Elastic runs stamp
+timeseries, no events dropped by the recorder's per-thread cap) and exits
+non-zero on the first violation. Elastic runs stamp
 per-round churn markers ("population", "joined", "left"); validation then
 also requires the active population to evolve by exactly the markers.
 
@@ -70,9 +72,12 @@ class Trace:
         self.metadata = [e for e in events if e.get("ph") == "M"]
         self.process_names = {}
         self.thread_names = {}
+        self.dropped_events = None  # absent in traces that predate it
         for e in self.metadata:
             args = e.get("args", {})
-            if e.get("name") == "process_name":
+            if e.get("name") == "dropped_events":
+                self.dropped_events = args.get("count", 0)
+            elif e.get("name") == "process_name":
                 self.process_names[e["pid"]] = args.get("name", "")
             elif e.get("name") == "thread_name":
                 self.thread_names[(e["pid"], e.get("tid"))] = args.get(
@@ -242,6 +247,9 @@ def check(cond, message):
 
 
 def validate_trace(trace, min_ranks):
+    check(not trace.dropped_events,
+          f"trace dropped {trace.dropped_events} event(s) past the "
+          f"per-thread cap; its spans and flows are incomplete")
     check(trace.ranks, "trace has no rank-attributed spans")
     check(
         len(trace.ranks) >= min_ranks,
@@ -387,6 +395,9 @@ def format_report(trace, rounds, top):
     lines.append(f"flows: {len(matched)} matched send->recv pair(s), "
                  f"{trace.unmatched_flow_count()} unmatched endpoint id(s) "
                  f"(drops / in-flight at export)")
+    if trace.dropped_events is not None:
+        lines.append(f"dropped events: {trace.dropped_events} "
+                     f"(past the recorder's per-thread cap)")
     if rounds:
         fractions = overlap_fractions(rounds)
         if fractions:
@@ -447,9 +458,11 @@ def main(argv=None):
             return 1
         ranks = len(trace.ranks) if trace is not None else 0
         flows = len(trace.matched_flows()) if trace is not None else 0
+        dropped = trace.dropped_events if trace is not None else None
         print(f"validation ok: {ranks} rank track(s), "
               f"{flows} matched flow pair(s), "
-              f"{len(rounds)} timeseries round(s)")
+              f"{len(rounds)} timeseries round(s), "
+              f"{dropped or 0} dropped event(s)")
         return 0
 
     if trace is None:
@@ -465,6 +478,7 @@ def main(argv=None):
             "critical_path": critical_path(trace),
             "matched_flows": len(trace.matched_flows()),
             "unmatched_flow_ids": trace.unmatched_flow_count(),
+            "dropped_events": trace.dropped_events,
             "overlap_fractions": overlap_fractions(rounds),
             "rounds": len(rounds),
         }, indent=2))
