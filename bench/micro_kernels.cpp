@@ -44,7 +44,9 @@ void BM_Gemm(benchmark::State& state) {
           1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+// Real time, not CPU time: pooled GEMMs run partly on workers, so the
+// calling thread's CPU clock under-counts the work.
+BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256)->Arg(512)->UseRealTime();
 
 // GEMM thread scaling at a fixed shape: pool size is pinned per run so the
 // numbers are comparable regardless of LTFB_COMPUTE_THREADS in the
@@ -81,7 +83,71 @@ void BM_GemmTransposed(benchmark::State& state) {
     benchmark::DoNotOptimize(c.raw());
   }
 }
-BENCHMARK(BM_GemmTransposed)->Arg(128);
+BENCHMARK(BM_GemmTransposed)->Arg(128)->UseRealTime();
+
+// GEMM shapes of one training step of the perfbench dp-skinny CycleGAN
+// (default widths, image width 192, per-rank batch 64), plus 128^3. For a
+// dense layer in->out at batch B: forward (B, out, in) NN, weight gradient
+// (in, out, B) TN, input gradient (B, in, out) NT. The layers listed are
+// the ones with a GEMM wider than one 64x128 macro-block — the only GEMMs
+// the pool can split; the single-block ones run inline at any pool size.
+// These readings set kParallelMnkThreshold in src/tensor/gemm.cpp: the
+// smallest m*n*k at which pool 2 beats serial.
+struct GemmShape {
+  const char* label;
+  tensor::Op op_a, op_b;
+  std::size_t m, n, k;
+};
+constexpr std::size_t kShapeBatch = 64;
+const GemmShape kGemmShapes[] = {
+    {"enc1_fwd", tensor::Op::None, tensor::Op::None, kShapeBatch, 128, 207},
+    {"enc1_wgrad", tensor::Op::Transpose, tensor::Op::None, 207, 128,
+     kShapeBatch},
+    {"enc1_dgrad", tensor::Op::None, tensor::Op::Transpose, kShapeBatch, 207,
+     128},
+    {"enc2_fwd", tensor::Op::None, tensor::Op::None, kShapeBatch, 64, 128},
+    {"enc2_wgrad", tensor::Op::Transpose, tensor::Op::None, 128, 64,
+     kShapeBatch},
+    {"enc2_dgrad", tensor::Op::None, tensor::Op::Transpose, kShapeBatch, 128,
+     64},
+    {"dec3_fwd", tensor::Op::None, tensor::Op::None, kShapeBatch, 207, 128},
+    {"dec3_wgrad", tensor::Op::Transpose, tensor::Op::None, 128, 207,
+     kShapeBatch},
+    {"dec3_dgrad", tensor::Op::None, tensor::Op::Transpose, kShapeBatch, 128,
+     207},
+    {"cube", tensor::Op::None, tensor::Op::None, 128, 128, 128},
+};
+
+void BM_GemmShapes(benchmark::State& state) {
+  const GemmShape& shape = kGemmShapes[static_cast<std::size_t>(state.range(0))];
+  util::ComputePool::instance().resize(static_cast<std::size_t>(state.range(1)));
+  tensor::Tensor a(shape.op_a == tensor::Op::None
+                       ? tensor::Shape{shape.m, shape.k}
+                       : tensor::Shape{shape.k, shape.m});
+  tensor::Tensor b(shape.op_b == tensor::Op::None
+                       ? tensor::Shape{shape.k, shape.n}
+                       : tensor::Shape{shape.n, shape.k});
+  tensor::Tensor c(shape.m, shape.n);
+  fill_random(a, 5);
+  fill_random(b, 6);
+  for (auto _ : state) {
+    tensor::gemm(shape.op_a, shape.op_b, 1.0f, a, b, 0.0f, c);
+    benchmark::DoNotOptimize(c.raw());
+  }
+  state.SetLabel(shape.label);
+  state.counters["mnk"] =
+      static_cast<double>(shape.m * shape.n * shape.k);
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      tensor::gemm_flops(shape.m, shape.n, shape.k) *
+          static_cast<double>(state.iterations()) / 1e9,
+      benchmark::Counter::kIsRate);
+  util::ComputePool::instance().resize(util::ComputePool::env_threads());
+}
+BENCHMARK(BM_GemmShapes)
+    ->ArgsProduct({benchmark::CreateDenseRange(
+                       0, std::size(kGemmShapes) - 1, 1),
+                   {1, 2, 4}})
+    ->UseRealTime();
 
 void BM_Allreduce(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));
@@ -147,13 +213,22 @@ void BM_CycleGanTrainStep(benchmark::State& state) {
   std::vector<std::size_t> view(dataset.size());
   std::iota(view.begin(), view.end(), 0);
   data::MiniBatchReader reader(dataset, view, 128, 7);
+  // Argument 0 stands for env_threads(): the pool an unbound caller gets.
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  util::ComputePool::instance().resize(
+      threads == 0 ? util::ComputePool::env_threads() : threads);
   for (auto _ : state) {
     const auto metrics = model.train_step(reader.next());
     benchmark::DoNotOptimize(metrics.fidelity_loss);
   }
   state.counters["params"] = static_cast<double>(model.parameter_count());
+  state.counters["threads"] =
+      static_cast<double>(util::ComputePool::instance().size());
+  util::ComputePool::instance().resize(util::ComputePool::env_threads());
 }
-BENCHMARK(BM_CycleGanTrainStep);
+// Serial versus the default pool: the real step at N threads should be no
+// slower than at 1.
+BENCHMARK(BM_CycleGanTrainStep)->Arg(1)->Arg(0)->UseRealTime();
 
 void BM_DataStoreFetch(benchmark::State& state) {
   const auto dir =

@@ -14,6 +14,7 @@
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/annotations.hpp"
+#include "util/compute_pool.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
 
@@ -840,17 +841,22 @@ std::vector<std::exception_ptr> World::run_ranks(
   // spawned children do in spawn_socket_mesh.
   flight::init_from_env();
   const int n = size();
+  // Every rank of this world runs on this host: each gets an equal slice of
+  // the host's compute budget instead of all sharing one process-wide pool.
+  const std::size_t share = util::ComputePool::rank_share(
+      util::ComputePool::env_threads(), static_cast<std::size_t>(n));
   std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
   threads.reserve(static_cast<std::size_t>(n));
   for (int rank = 0; rank < n; ++rank) {
-    threads.emplace_back([this, &fn, &errors, rank] {
+    threads.emplace_back([this, &fn, &errors, rank, share] {
       try {
         // Rank attribution: everything this thread (and helpers it hands
         // work to) records lands in rank `rank`'s telemetry scope. Worlds
         // larger than the scope table run unattributed rather than fail.
         telemetry::bind_rank(
             rank < telemetry::detail::kMaxRankScopes ? rank : -1);
+        const util::ComputeShare compute(share);
         Communicator comm = communicator(rank);
         fn(comm);
         // Clean return: obligated messages were all delivered. Peers still
@@ -990,6 +996,11 @@ std::vector<World::ProcessStatus> World::spawn_processes(
           World world(backend);
           telemetry::bind_rank(
               rank < telemetry::detail::kMaxRankScopes ? rank : -1);
+          // The same share rule as run_ranks: the child's kernels never
+          // reach the process-wide pool it inherited without its workers.
+          const util::ComputeShare compute(util::ComputePool::rank_share(
+              util::ComputePool::env_threads(),
+              static_cast<std::size_t>(world.size())));
           Communicator comm = world.communicator(rank);
           fn(comm);
           backend->finalize_rank(rank, /*clean=*/true);

@@ -275,7 +275,9 @@ class World {
   /// departed; a rank that exits by exception is marked FAILED, which
   /// wakes every peer blocked on it with ltfb::RankFailedError. Returns
   /// each rank's exception (null for clean ranks) — the chaos-harness
-  /// entry point: injected faults are inspected, not rethrown.
+  /// entry point: injected faults are inspected, not rethrown. Each rank
+  /// thread computes on its own util::ComputeShare of
+  /// rank_share(env_threads(), size()) threads.
   std::vector<std::exception_ptr> run_ranks(
       const std::function<void(Communicator&)>& fn);
 
@@ -314,6 +316,8 @@ class World {
   /// caller can distinguish chaos outcomes exactly like run_ranks callers
   /// inspect exceptions. Fault schedules and telemetry configuration
   /// propagate through the environment (LTFB_FAULT_SCHEDULE, LTFB_TRACE).
+  /// Each child's rank computes on its own util::ComputeShare, sized as in
+  /// run_ranks, never on the compute pool it inherited from the parent.
   static std::vector<ProcessStatus> spawn_processes(
       int size, const std::function<void(Communicator&)>& fn);
 

@@ -92,9 +92,13 @@ constexpr std::size_t kBlockK = 128;
 constexpr std::size_t kMr = 4;
 constexpr std::size_t kNr = 16;
 
-// Below this many multiply-adds (2*m*n*k FLOPs / 2), dispatching to the
-// pool costs more than the kernel itself: run the block loop inline.
-constexpr std::size_t kParallelMnkThreshold = 1u << 18;
+// Below this many multiply-adds (2*m*n*k FLOPs / 2), waking pool threads
+// costs as much as they save: run the block loop inline. Set by
+// BM_GemmShapes (bench/micro_kernels.cpp) on a 4-vCPU AVX2 host: the
+// smallest measured m*n*k at which pool 2 beats serial is the 207x128x64
+// weight gradient of the dp-skinny CycleGAN's widest layer (~1.4x), while
+// the 128x64x64 one (524k) gained nothing.
+constexpr std::size_t kParallelMnkThreshold = 207u * 128u * 64u;
 
 // Per-worker pack buffers — hoisted out of the call frame so every pool
 // worker (and the calling thread on the serial path) reuses its own warm,

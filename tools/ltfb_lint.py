@@ -166,6 +166,7 @@ ENTRY_CHECK_MANIFEST = {
         ("ComputePool::run_tasks", "ComputePool::run_tasks"),
         ("ComputePool::parallel_ranges", "ComputePool::parallel_ranges"),
         ("ComputePool::env_threads", "ComputePool::env_threads"),
+        ("ComputeShare::ComputeShare", "ComputeShare::ComputeShare"),
     ],
     "src/nn/parallel.cpp": [
         ("GradientBucketer::GradientBucketer",
