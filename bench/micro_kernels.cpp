@@ -1,7 +1,8 @@
 // google-benchmark microbenches for the performance-critical kernels:
 // blocked GEMM (the fully-connected workhorse), ring all-reduce and
 // broadcast over the in-process comm substrate, the data-store exchange,
-// a full CycleGAN training step, and the JAG simulator itself.
+// a full CycleGAN training step, the tournament score against the full
+// evaluation, and the JAG simulator itself.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -229,6 +230,49 @@ void BM_CycleGanTrainStep(benchmark::State& state) {
 // Serial versus the default pool: the real step at N threads should be no
 // slower than at 1.
 BENCHMARK(BM_CycleGanTrainStep)->Arg(1)->Arg(0)->UseRealTime();
+
+// One pass of `pass` over a 128-row batch at the tournament-wide shape of
+// perfbench: 16x16 images x 3 views x 4 channels (3087 output features),
+// the default hidden widths, on one thread (a rank's share when four ranks
+// split a 4-CPU host).
+template <typename Pass>
+void run_wide_gan_pass(benchmark::State& state, const Pass& pass) {
+  jag::JagConfig jag_config;
+  jag_config.image_size = 16;
+  jag_config.num_views = 3;
+  jag_config.num_channels = 4;
+  const jag::JagModel jag_model(jag_config);
+  data::Dataset dataset = data::generate_jag_dataset(jag_model, 128, 8);
+  data::normalize_dataset(dataset, data::fit_normalizers(dataset));
+  gan::CycleGanConfig config;
+  config.image_width = jag_config.image_features();
+  gan::CycleGan model(config, 9);
+  std::vector<std::size_t> rows(dataset.size());
+  std::iota(rows.begin(), rows.end(), 0);
+  const data::Batch batch = data::make_batch(dataset, rows);
+  util::ComputePool::instance().resize(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pass(model, batch));
+  }
+  util::ComputePool::instance().resize(util::ComputePool::env_threads());
+}
+
+// What a tournament score runs: F, Dec(F(x)) and G(F(x)).
+void BM_GanScore(benchmark::State& state) {
+  run_wide_gan_pass(state, [](gan::CycleGan& model, const data::Batch& b) {
+    return model.score(b, /*adversarial=*/false).total();
+  });
+}
+BENCHMARK(BM_GanScore)->UseRealTime();
+
+// The full evaluation a report reads: the score plus E, a second Dec pass
+// and the critic on real and predicted latents.
+void BM_GanEvaluate(benchmark::State& state) {
+  run_wide_gan_pass(state, [](gan::CycleGan& model, const data::Batch& b) {
+    return model.evaluate(b).total();
+  });
+}
+BENCHMARK(BM_GanEvaluate)->UseRealTime();
 
 void BM_DataStoreFetch(benchmark::State& state) {
   const auto dir =

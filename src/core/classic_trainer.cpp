@@ -123,7 +123,7 @@ double ClassicTrainer::train_step() {
   }
   model_.zero_gradients();
   model_.add_output_gradient(output_layer_, grad);
-  model_.backward();
+  model_.backward(nn::Gradients::Weights);
   model_.apply_optimizer_step();
   ++steps_;
   return loss;

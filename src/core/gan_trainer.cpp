@@ -29,14 +29,15 @@ data::Batch slice_batch(const data::Batch& batch, std::size_t begin,
   return shard;
 }
 
-}  // namespace
-
-gan::EvalMetrics evaluate_gan(gan::CycleGan& model,
-                              const data::Dataset& dataset,
-                              const std::vector<std::size_t>& view,
-                              std::size_t batch_size) {
+/// Mean of `per_batch` over the mini-batches of `view` (the remainder
+/// partial batch is included): the one batch loop behind evaluate_gan and
+/// score_gan, so both average every field in the same order.
+template <typename PerBatch>
+gan::EvalMetrics mean_over_batches(const data::Dataset& dataset,
+                                   const std::vector<std::size_t>& view,
+                                   std::size_t batch_size,
+                                   const PerBatch& per_batch) {
   LTFB_CHECK_MSG(!view.empty(), "evaluation view is empty");
-  LTFB_SPAN("trainer/evaluate");
   gan::EvalMetrics mean;
   std::size_t batches = 0;
   for (std::size_t begin = 0; begin < view.size(); begin += batch_size) {
@@ -44,12 +45,12 @@ gan::EvalMetrics evaluate_gan(gan::CycleGan& model,
     const std::vector<std::size_t> positions(
         view.begin() + static_cast<std::ptrdiff_t>(begin),
         view.begin() + static_cast<std::ptrdiff_t>(end));
-    const data::Batch batch = data::make_batch(dataset, positions);
-    const gan::EvalMetrics m = model.evaluate(batch);
+    const gan::EvalMetrics m = per_batch(data::make_batch(dataset, positions));
     mean.forward_loss += m.forward_loss;
     mean.inverse_loss += m.inverse_loss;
     mean.reconstruction_loss += m.reconstruction_loss;
     mean.discriminator_accuracy += m.discriminator_accuracy;
+    mean.generator_adversarial += m.generator_adversarial;
     ++batches;
   }
   const auto n = static_cast<double>(batches);
@@ -57,7 +58,32 @@ gan::EvalMetrics evaluate_gan(gan::CycleGan& model,
   mean.inverse_loss /= n;
   mean.reconstruction_loss /= n;
   mean.discriminator_accuracy /= n;
+  mean.generator_adversarial /= n;
   return mean;
+}
+
+}  // namespace
+
+gan::EvalMetrics evaluate_gan(gan::CycleGan& model,
+                              const data::Dataset& dataset,
+                              const std::vector<std::size_t>& view,
+                              std::size_t batch_size) {
+  LTFB_SPAN("trainer/evaluate");
+  return mean_over_batches(
+      dataset, view, batch_size,
+      [&](const data::Batch& batch) { return model.evaluate(batch); });
+}
+
+double score_gan(gan::CycleGan& model, const data::Dataset& dataset,
+                 const std::vector<std::size_t>& view, std::size_t batch_size,
+                 bool adversarial) {
+  LTFB_SPAN("trainer/score");
+  const gan::EvalMetrics mean = mean_over_batches(
+      dataset, view, batch_size, [&](const data::Batch& batch) {
+        return model.score(batch, adversarial);
+      });
+  return adversarial ? mean.total() + mean.generator_adversarial
+                     : mean.total();
 }
 
 GanTrainer::GanTrainer(int trainer_id, gan::CycleGanConfig model_config,

@@ -19,11 +19,20 @@
 namespace ltfb::core {
 
 /// Mean evaluation metrics of a model over a dataset view, computed in
-/// mini-batches (the remainder partial batch is included).
+/// mini-batches (the remainder partial batch is included). The reporting
+/// path: every field of gan::EvalMetrics, through CycleGan::evaluate.
 gan::EvalMetrics evaluate_gan(gan::CycleGan& model,
                               const data::Dataset& dataset,
                               const std::vector<std::size_t>& view,
                               std::size_t batch_size);
+
+/// The tournament/validation metric alone, through the lean
+/// CycleGan::score: evaluate_gan(...).total(), plus the mean
+/// generator_adversarial when `adversarial` — bit-identical to those sums
+/// of evaluate_gan's means, without running E or the critic's real pass.
+double score_gan(gan::CycleGan& model, const data::Dataset& dataset,
+                 const std::vector<std::size_t>& view, std::size_t batch_size,
+                 bool adversarial);
 
 /// Complete resumable state of one GanTrainer. Weights alone are not
 /// enough for a bit-identical restart: the optimizer moments and the

@@ -253,9 +253,8 @@ DistributedLtfbOutcome run_distributed_ltfb(
     outcome.final_tournament_score =
         tournament_score(trainer, config.ltfb.metric);
     outcome.final_validation_loss =
-        evaluate_gan(trainer.model(), dataset, splits.validation,
-                     config.batch_size)
-            .total();
+        score_gan(trainer.model(), dataset, splits.validation,
+                  config.batch_size, /*adversarial=*/false);
     results[0] = static_cast<float>(outcome.final_tournament_score);
     results[1] = static_cast<float>(outcome.final_validation_loss);
     results[2] = static_cast<float>(outcome.tournaments_won);

@@ -931,9 +931,8 @@ ElasticLtfbOutcome run_elastic_ltfb(comm::Communicator& world,
     own_result.final_tournament_score =
         tournament_score(hosted->trainer, config.ltfb.metric);
     own_result.final_validation_loss =
-        evaluate_gan(hosted->trainer.model(), dataset, splits.validation,
-                     config.batch_size)
-            .total();
+        score_gan(hosted->trainer.model(), dataset, splits.validation,
+                  config.batch_size, /*adversarial=*/false);
     outcome.hosting_final = true;
     outcome.final_trainer_id = hosted->trainer.id();
   }

@@ -60,14 +60,9 @@ void load_exchange_payload(gan::CycleGan& model,
 }
 
 double tournament_score(GanTrainer& trainer, TournamentMetric metric) {
-  const gan::EvalMetrics m =
-      evaluate_gan(trainer.model(), trainer.dataset(),
-                   trainer.tournament_view(), trainer.batch_size());
-  double score = m.total();
-  if (metric == TournamentMetric::ForwardInverseAdversarial) {
-    score += m.generator_adversarial;
-  }
-  return score;
+  return score_gan(trainer.model(), trainer.dataset(),
+                   trainer.tournament_view(), trainer.batch_size(),
+                   metric == TournamentMetric::ForwardInverseAdversarial);
 }
 
 bool duel(GanTrainer& trainer, std::span<const float> own,
@@ -119,10 +114,9 @@ std::size_t best_trainer(
   std::size_t best = 0;
   double best_loss = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < trainers.size(); ++i) {
-    const double loss = evaluate_gan(trainers[i]->model(),
-                                     trainers[i]->dataset(), validation_view,
-                                     batch_size)
-                            .total();
+    const double loss =
+        score_gan(trainers[i]->model(), trainers[i]->dataset(),
+                  validation_view, batch_size, /*adversarial=*/false);
     if (loss < best_loss) {
       best_loss = loss;
       best = i;

@@ -88,7 +88,7 @@ double CycleGan::pretrain_autoencoder_step(const data::Batch& batch) {
   decoder_.add_output_gradient(decoder_out_, grad);
   decoder_.backward(backward_hook_);
   encoder_.add_output_gradient(encoder_out_, decoder_.input_gradient(0));
-  encoder_.backward(backward_hook_);
+  encoder_.backward(backward_hook_, nn::Gradients::Weights);
   if (sync_) sync_({&encoder_, &decoder_});
   observe_gradients({&encoder_, &decoder_});
   encoder_.apply_optimizer_step();
@@ -118,7 +118,7 @@ StepMetrics CycleGan::train_step(const data::Batch& batch) {
       nn::bce_with_logits(discriminator_.output(disc_out_), 1.0f, &d_grad);
   scale_loss_grad(d_grad);
   discriminator_.add_output_gradient(disc_out_, d_grad);
-  discriminator_.backward();
+  discriminator_.backward(nn::Gradients::Weights);
 
   discriminator_.forward({&fake_latent}, true);
   d_loss +=
@@ -127,7 +127,7 @@ StepMetrics CycleGan::train_step(const data::Batch& batch) {
   discriminator_.add_output_gradient(disc_out_, d_grad);
   // Second, accumulating backward: only now are the critic's gradients
   // final, so only this pass carries the overlap hook.
-  discriminator_.backward(backward_hook_);
+  discriminator_.backward(backward_hook_, nn::Gradients::Weights);
   if (sync_) sync_({&discriminator_});
   observe_gradients({&discriminator_});
   discriminator_.apply_optimizer_step();
@@ -137,8 +137,10 @@ StepMetrics CycleGan::train_step(const data::Batch& batch) {
   // ---- phase 3: generator (forward + inverse) -------------------------------
   forward_.zero_gradients();
   inverse_.zero_gradients();
-  decoder_.zero_gradients();       // participates in the fidelity path only
-  discriminator_.zero_gradients();  // gradients through D are discarded
+  // Dec and D are frozen here: their backward passes below only chain
+  // gradient into F, so they compute input gradients and no weight ones.
+  decoder_.zero_gradients();
+  discriminator_.zero_gradients();
   if (loss_scale_) loss_scale_->begin_step();
 
   forward_.forward({&batch.inputs}, true);
@@ -152,7 +154,7 @@ StepMetrics CycleGan::train_step(const data::Batch& batch) {
   tensor::scale(config_.lambda_fidelity, fid_grad.data());
   scale_loss_grad(fid_grad);
   decoder_.add_output_gradient(decoder_out_, fid_grad);
-  decoder_.backward();
+  decoder_.backward(nn::Gradients::Inputs);
   forward_.add_output_gradient(forward_out_, decoder_.input_gradient(0));
 
   // (b) physical consistency: fool the critic — BCE(D(F(x)), real).
@@ -163,7 +165,7 @@ StepMetrics CycleGan::train_step(const data::Batch& batch) {
   tensor::scale(config_.lambda_adversarial, adv_grad.data());
   scale_loss_grad(adv_grad);
   discriminator_.add_output_gradient(disc_out_, adv_grad);
-  discriminator_.backward();
+  discriminator_.backward(nn::Gradients::Inputs);
   forward_.add_output_gradient(forward_out_, discriminator_.input_gradient(0));
 
   // (c) latent consistency: pin F's latents to the autoencoder's latent
@@ -187,7 +189,7 @@ StepMetrics CycleGan::train_step(const data::Batch& batch) {
   inverse_.backward(backward_hook_);
   forward_.add_output_gradient(forward_out_, inverse_.input_gradient(0));
 
-  forward_.backward(backward_hook_);
+  forward_.backward(backward_hook_, nn::Gradients::Weights);
   if (sync_) sync_({&forward_, &inverse_});
   observe_gradients({&forward_, &inverse_});
   forward_.apply_optimizer_step();
@@ -196,7 +198,7 @@ StepMetrics CycleGan::train_step(const data::Batch& batch) {
   return metrics;
 }
 
-EvalMetrics CycleGan::evaluate(const data::Batch& batch) {
+EvalMetrics CycleGan::score(const data::Batch& batch, bool adversarial) {
   EvalMetrics metrics;
 
   forward_.forward({&batch.inputs}, /*training=*/false);
@@ -210,29 +212,40 @@ EvalMetrics CycleGan::evaluate(const data::Batch& batch) {
   metrics.inverse_loss =
       nn::mae_loss(inverse_.output(inverse_out_), batch.inputs, nullptr);
 
+  if (adversarial) {
+    discriminator_.forward({&z}, false);
+    metrics.generator_adversarial =
+        nn::bce_with_logits(discriminator_.output(disc_out_), 1.0f, nullptr);
+  }
+  return metrics;
+}
+
+EvalMetrics CycleGan::evaluate(const data::Batch& batch) {
+  EvalMetrics metrics = score(batch, /*adversarial=*/true);
+
+  // Critic accuracy: predicted latents (D's output from score) scored
+  // negative, real latents positive.
+  std::size_t correct = 0;
+  const tensor::Tensor& fake_logits = discriminator_.output(disc_out_);
+  const std::size_t scored = fake_logits.size();
+  for (std::size_t i = 0; i < scored; ++i) {
+    if (fake_logits[i] <= 0.0f) ++correct;
+  }
+
   encoder_.forward({&batch.outputs}, false);
-  const tensor::Tensor real_latent = encoder_.output(encoder_out_);
+  const tensor::Tensor& real_latent = encoder_.output(encoder_out_);
   decoder_.forward({&real_latent}, false);
   metrics.reconstruction_loss =
       nn::mae_loss(decoder_.output(decoder_out_), batch.outputs, nullptr);
 
-  // Critic accuracy: real latents scored positive, predicted negative.
-  std::size_t correct = 0;
   discriminator_.forward({&real_latent}, false);
-  const tensor::Tensor real_logits = discriminator_.output(disc_out_);
+  const tensor::Tensor& real_logits = discriminator_.output(disc_out_);
   for (std::size_t i = 0; i < real_logits.size(); ++i) {
     if (real_logits[i] > 0.0f) ++correct;
   }
-  discriminator_.forward({&z}, false);
-  const tensor::Tensor& fake_logits = discriminator_.output(disc_out_);
-  for (std::size_t i = 0; i < fake_logits.size(); ++i) {
-    if (fake_logits[i] <= 0.0f) ++correct;
-  }
   metrics.discriminator_accuracy =
       static_cast<double>(correct) /
-      static_cast<double>(real_logits.size() + fake_logits.size());
-  metrics.generator_adversarial =
-      nn::bce_with_logits(fake_logits, 1.0f, nullptr);
+      static_cast<double>(real_logits.size() + scored);
   return metrics;
 }
 

@@ -112,7 +112,15 @@ class CycleGan {
   /// then the generator update through all three consistency losses.
   StepMetrics train_step(const data::Batch& batch);
 
-  /// Evaluation on a batch (no parameter updates).
+  /// The tournament metric's sub-network on a batch (no parameter
+  /// updates): F(x), Dec(F(x)) and G(F(x)), plus the local critic on F(x)
+  /// when `adversarial`. Fills forward_loss, inverse_loss and, when
+  /// `adversarial`, generator_adversarial; the other fields stay 0. E and
+  /// the critic's real-latent pass are never run.
+  EvalMetrics score(const data::Batch& batch, bool adversarial);
+
+  /// Full evaluation on a batch (no parameter updates): score() with the
+  /// critic, plus the autoencoder reconstruction and critic accuracy.
   EvalMetrics evaluate(const data::Batch& batch);
 
   /// Dec(F(x)): predicted output bundle [B, scalar+image] for raw inputs.
@@ -181,9 +189,9 @@ class CycleGan {
   /// backward pass of each model that the following GradientSync covers
   /// (nn::Model::backward(hook) semantics), so a bucketed all-reduce can
   /// start shipping a layer's gradients while earlier layers are still
-  /// differentiating. Backward passes whose gradients are discarded (the
-  /// generator phase's decoder/discriminator passes) and accumulating
-  /// first passes (the discriminator's real-batch pass) never see the hook.
+  /// differentiating. The generator phase's decoder/discriminator passes
+  /// (frozen: they compute input gradients only) and accumulating first
+  /// passes (the discriminator's real-batch pass) never see the hook.
   using BackwardHook = nn::Model::BackwardHook;
   void set_backward_hook(BackwardHook hook) {
     backward_hook_ = std::move(hook);

@@ -82,7 +82,8 @@ void InputLayer::forward(const std::vector<const tensor::Tensor*>& /*inputs*/,
 void InputLayer::backward(
     const std::vector<const tensor::Tensor*>& /*inputs*/,
     const tensor::Tensor& /*grad_output*/,
-    std::vector<tensor::Tensor>& grad_inputs) {
+    std::vector<tensor::Tensor>& grad_inputs,
+    Gradients /*needs*/) {
   grad_inputs.clear();
 }
 
@@ -133,7 +134,8 @@ void FullyConnected::forward(const std::vector<const tensor::Tensor*>& inputs,
 void FullyConnected::backward(
     const std::vector<const tensor::Tensor*>& inputs,
     const tensor::Tensor& grad_output,
-    std::vector<tensor::Tensor>& grad_inputs) {
+    std::vector<tensor::Tensor>& grad_inputs,
+    Gradients needs) {
   const tensor::Tensor& x = *inputs[0];
   // With a fused activation the incoming gradient is dL/dy; convert to
   // dL/dz (z = XW + b) first, exactly as a separate Activation layer's
@@ -147,13 +149,19 @@ void FullyConnected::backward(
                                     grad_output.size());
     gz = &grad_z;
   }
-  // dW += X^T dZ (accumulate so multiple backward passes sum, as in LBANN).
-  tensor::gemm(tensor::Op::Transpose, tensor::Op::None, 1.0f, x, *gz, 1.0f,
-               weights_[0]->gradient());
-  if (has_bias_) {
-    tensor::Tensor col_sums({out_width_});
-    tensor::column_sums(*gz, col_sums.data());
-    tensor::axpy(1.0f, col_sums.data(), weights_[1]->gradient().data());
+  if (needs != Gradients::Inputs) {
+    // dW += X^T dZ (accumulate so multiple backward passes sum, as in LBANN).
+    tensor::gemm(tensor::Op::Transpose, tensor::Op::None, 1.0f, x, *gz, 1.0f,
+                 weights_[0]->gradient());
+    if (has_bias_) {
+      tensor::Tensor col_sums({out_width_});
+      tensor::column_sums(*gz, col_sums.data());
+      tensor::axpy(1.0f, col_sums.data(), weights_[1]->gradient().data());
+    }
+  }
+  if (needs == Gradients::Weights) {
+    grad_inputs.clear();
+    return;
   }
   // dX = dZ W^T
   grad_inputs.resize(1);
@@ -225,7 +233,8 @@ void Activation::forward(const std::vector<const tensor::Tensor*>& inputs,
 void Activation::backward(
     const std::vector<const tensor::Tensor*>& /*inputs*/,
     const tensor::Tensor& grad_output,
-    std::vector<tensor::Tensor>& grad_inputs) {
+    std::vector<tensor::Tensor>& grad_inputs,
+    Gradients /*needs*/) {
   grad_inputs.resize(1);
   grad_inputs[0].resize(grad_output.shape());
   // The output-based derivative is identical to the input-based one for
@@ -269,7 +278,8 @@ void Dropout::forward(const std::vector<const tensor::Tensor*>& inputs,
 
 void Dropout::backward(const std::vector<const tensor::Tensor*>& /*inputs*/,
                        const tensor::Tensor& grad_output,
-                       std::vector<tensor::Tensor>& grad_inputs) {
+                       std::vector<tensor::Tensor>& grad_inputs,
+                       Gradients /*needs*/) {
   grad_inputs.resize(1);
   grad_inputs[0].resize(grad_output.shape());
   if (mask_.empty()) {  // eval-mode pass
@@ -311,7 +321,8 @@ void Concat::forward(const std::vector<const tensor::Tensor*>& inputs,
 
 void Concat::backward(const std::vector<const tensor::Tensor*>& inputs,
                       const tensor::Tensor& grad_output,
-                      std::vector<tensor::Tensor>& grad_inputs) {
+                      std::vector<tensor::Tensor>& grad_inputs,
+                      Gradients /*needs*/) {
   const std::size_t batch = grad_output.rows();
   grad_inputs.resize(inputs.size());
   for (std::size_t p = 0; p < inputs.size(); ++p) {
@@ -353,7 +364,8 @@ void Slice::forward(const std::vector<const tensor::Tensor*>& inputs,
 
 void Slice::backward(const std::vector<const tensor::Tensor*>& inputs,
                      const tensor::Tensor& grad_output,
-                     std::vector<tensor::Tensor>& grad_inputs) {
+                     std::vector<tensor::Tensor>& grad_inputs,
+                     Gradients /*needs*/) {
   const std::size_t batch = grad_output.rows();
   const std::size_t w = end_ - begin_;
   grad_inputs.resize(1);

@@ -17,6 +17,12 @@
 
 namespace ltfb::nn {
 
+/// Which gradients a backward pass produces: parameter gradients, the
+/// gradients w.r.t. the layer's inputs, or both. A pass that skips one
+/// leaves it untouched (weight gradients keep their accumulated value;
+/// grad_inputs may be left empty).
+enum class Gradients { Both, Weights, Inputs };
+
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -36,10 +42,12 @@ class Layer {
                        bool training) = 0;
 
   /// Accumulates parameter gradients and fills grad_inputs (one tensor per
-  /// parent, same shape as that parent's output).
+  /// parent, same shape as that parent's output). `needs` says which of the
+  /// two the caller reads; a layer may skip the work for the other.
   virtual void backward(const std::vector<const tensor::Tensor*>& inputs,
                         const tensor::Tensor& grad_output,
-                        std::vector<tensor::Tensor>& grad_inputs) = 0;
+                        std::vector<tensor::Tensor>& grad_inputs,
+                        Gradients needs) = 0;
 
   const tensor::Tensor& output() const noexcept { return output_; }
   tensor::Tensor& mutable_output() noexcept { return output_; }
@@ -68,7 +76,8 @@ class InputLayer final : public Layer {
                bool training) override;
   void backward(const std::vector<const tensor::Tensor*>& inputs,
                 const tensor::Tensor& grad_output,
-                std::vector<tensor::Tensor>& grad_inputs) override;
+                std::vector<tensor::Tensor>& grad_inputs,
+                Gradients needs) override;
 
  private:
   std::size_t width_;
@@ -111,7 +120,8 @@ class FullyConnected final : public Layer {
                bool training) override;
   void backward(const std::vector<const tensor::Tensor*>& inputs,
                 const tensor::Tensor& grad_output,
-                std::vector<tensor::Tensor>& grad_inputs) override;
+                std::vector<tensor::Tensor>& grad_inputs,
+                Gradients needs) override;
 
  private:
   std::size_t in_width_ = 0;
@@ -135,7 +145,8 @@ class Activation final : public Layer {
                bool training) override;
   void backward(const std::vector<const tensor::Tensor*>& inputs,
                 const tensor::Tensor& grad_output,
-                std::vector<tensor::Tensor>& grad_inputs) override;
+                std::vector<tensor::Tensor>& grad_inputs,
+                Gradients needs) override;
   ActivationKind kind() const noexcept { return kind_; }
 
  private:
@@ -158,7 +169,8 @@ class Dropout final : public Layer {
                bool training) override;
   void backward(const std::vector<const tensor::Tensor*>& inputs,
                 const tensor::Tensor& grad_output,
-                std::vector<tensor::Tensor>& grad_inputs) override;
+                std::vector<tensor::Tensor>& grad_inputs,
+                Gradients needs) override;
 
  private:
   float drop_probability_;
@@ -178,7 +190,8 @@ class Concat final : public Layer {
                bool training) override;
   void backward(const std::vector<const tensor::Tensor*>& inputs,
                 const tensor::Tensor& grad_output,
-                std::vector<tensor::Tensor>& grad_inputs) override;
+                std::vector<tensor::Tensor>& grad_inputs,
+                Gradients needs) override;
 
  private:
   std::vector<std::size_t> input_widths_;
@@ -197,7 +210,8 @@ class Slice final : public Layer {
                bool training) override;
   void backward(const std::vector<const tensor::Tensor*>& inputs,
                 const tensor::Tensor& grad_output,
-                std::vector<tensor::Tensor>& grad_inputs) override;
+                std::vector<tensor::Tensor>& grad_inputs,
+                Gradients needs) override;
 
  private:
   std::size_t begin_, end_;

@@ -124,22 +124,32 @@ void Model::add_output_gradient(LayerId id, const tensor::Tensor& grad) {
   }
 }
 
-void Model::backward() { backward(BackwardHook{}); }
+void Model::backward(Gradients wanted) { backward(BackwardHook{}, wanted); }
 
-void Model::backward(const BackwardHook& hook) {
+void Model::backward(const BackwardHook& hook, Gradients wanted) {
   std::vector<tensor::Tensor> grad_inputs;
   for (std::size_t i = layers_.size(); i-- > 0;) {
     Node& node = layers_[i];
     if (!node.has_grad) continue;
+    // Gradient into an interior layer is what continues the sweep, so a
+    // Weights-only pass drops dL/d(parent) only where every parent is an
+    // input layer (the graph's only source nodes).
+    Gradients needs = wanted;
+    if (wanted == Gradients::Weights &&
+        !std::all_of(node.parents.begin(), node.parents.end(),
+                     [&](LayerId p) { return layers_[p].parents.empty(); })) {
+      needs = Gradients::Both;
+    }
     const auto parents = parent_outputs(node);
     grad_inputs.clear();
-    node.layer->backward(parents, node.grad_accumulator, grad_inputs);
+    node.layer->backward(parents, node.grad_accumulator, grad_inputs, needs);
     if (hook) {
       // This layer's weight gradients are final (only its own backward
       // writes them): hand them to the overlap seam before computing the
       // rest of the sweep.
       for (Weights* w : node.layer->weights()) hook(*w);
     }
+    if (needs == Gradients::Weights) continue;
     LTFB_CHECK(grad_inputs.size() == node.parents.size() ||
                node.parents.empty());
     for (std::size_t p = 0; p < node.parents.size(); ++p) {
@@ -153,7 +163,8 @@ const tensor::Tensor& Model::input_gradient(std::size_t input_index) const {
   const Node& node = layers_[input_ids_[input_index]];
   LTFB_CHECK_MSG(node.has_grad,
                  "input " << input_index
-                          << " received no gradient; run backward() first");
+                          << " received no gradient; run a backward() that "
+                             "computes input gradients first");
   return node.grad_accumulator;
 }
 

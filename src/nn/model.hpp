@@ -74,8 +74,13 @@ class Model {
   /// Registers dL/d(output of `id`); accumulated if called twice.
   void add_output_gradient(LayerId id, const tensor::Tensor& grad);
 
-  /// Reverse sweep from all registered output gradients.
-  void backward();
+  /// Reverse sweep from all registered output gradients. `wanted` names the
+  /// gradients the caller reads. Weights skips the input-gradient work of
+  /// every layer fed only by input layers (input_gradient() then throws);
+  /// Inputs skips every weight-gradient GEMM and bias sum, for a model that
+  /// is frozen and only chains gradient to an upstream model. Whatever is
+  /// computed is bit-identical to a Both sweep.
+  void backward(Gradients wanted = Gradients::Both);
 
   /// Per-weights completion hook for comm/compute overlap: during the
   /// reverse sweep, `hook` fires with each weights object as soon as its
@@ -84,13 +89,15 @@ class Model {
   /// computing. The overlapped all-reduce (nn::GradientBucketer) hangs off
   /// this seam. Only pass a hook on a model's FINAL backward call before
   /// its gradients are consumed: a gradient-accumulating second backward
-  /// would fire the hook on partial sums.
+  /// would fire the hook on partial sums. The hook fires for every weights
+  /// object whatever `wanted` is.
   using BackwardHook = std::function<void(Weights&)>;
-  void backward(const BackwardHook& hook);
+  void backward(const BackwardHook& hook, Gradients wanted = Gradients::Both);
 
   /// dL/d(input i) after backward() — how composed models (e.g. the
   /// CycleGAN's decoder feeding gradient back into the forward model)
-  /// chain gradients across component networks.
+  /// chain gradients across component networks. Throws when no backward
+  /// since the last zero_gradients() computed it (a Weights-only sweep).
   const tensor::Tensor& input_gradient(std::size_t input_index) const;
 
   /// Optimizer update on every weights object.

@@ -5,7 +5,14 @@
 namespace ltfb::util {
 
 ThreadPool::ThreadPool(std::size_t num_threads, std::string thread_name)
-    : thread_name_(std::move(thread_name)) {
+    : thread_name_(std::move(thread_name)),
+      task_timer_(telemetry::Registry::instance().timer("threadpool/task")) {
+  // Workers must never be the first to run a function-local static
+  // initializer or take the registry lock: a fork while one of them is
+  // mid-initialization leaves the guard "pending" in the child, where any
+  // thread reaching it waits forever. The timer handle is resolved above,
+  // and the clock's epoch static is primed here, on the constructing thread.
+  (void)telemetry::now_ns();
   const std::size_t n = std::max<std::size_t>(1, num_threads);
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -42,7 +49,7 @@ void ThreadPool::worker_loop() {
     }
     {
       LTFB_SPAN("threadpool/task");
-      LTFB_TIMED_SCOPE("threadpool/task");
+      const telemetry::ScopedTimer timed(task_timer_);
       task();
     }
     {

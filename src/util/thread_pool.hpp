@@ -83,6 +83,8 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;  // written only in the ctor
   std::string thread_name_;
+  // Resolved by the constructing thread (see the constructor).
+  const telemetry::Timer task_timer_;
   Mutex mutex_;
   std::deque<std::function<void()>> queue_ LTFB_GUARDED_BY(mutex_);
   std::condition_variable cv_;

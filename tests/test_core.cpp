@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -132,6 +133,69 @@ TEST(GanTrainer, TrainStepsAdvanceCounter) {
   auto trainers = build_population(dataset, splits, config);
   trainers[0]->train_steps(5);
   EXPECT_EQ(trainers[0]->steps_taken(), 5u);
+}
+
+/// A one-trainer population trained a few steps, so the critic and the
+/// generator losses are not at their initial values.
+struct ScoredTrainer {
+  data::Dataset dataset = tiny_dataset(200, 28);
+  const data::SplitIndices splits =
+      data::split_dataset(dataset.size(), 0.7, 0.15, 29);
+  std::vector<std::unique_ptr<GanTrainer>> trainers = [this] {
+    PopulationConfig config;
+    config.num_trainers = 1;
+    config.batch_size = 16;
+    config.model = tiny_config();
+    config.seed = 30;
+    auto built = build_population(dataset, splits, config);
+    built[0]->train_steps(4);
+    return built;
+  }();
+  GanTrainer& trainer() { return *trainers[0]; }
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(GanTrainer, LeanScoreMatchesFullEvaluationBitForBit) {
+  ScoredTrainer fx;
+  gan::CycleGan& model = fx.trainer().model();
+  // The tournament view ends in a partial batch; validation is larger.
+  for (const std::vector<std::size_t>* view :
+       {&fx.trainer().tournament_view(), &fx.splits.validation}) {
+    const gan::EvalMetrics full = evaluate_gan(model, fx.dataset, *view, 16);
+    EXPECT_EQ(bits(score_gan(model, fx.dataset, *view, 16, false)),
+              bits(full.total()));
+    EXPECT_EQ(bits(score_gan(model, fx.dataset, *view, 16, true)),
+              bits(full.total() + full.generator_adversarial));
+  }
+}
+
+// The adversarial metric charges the generator the BCE it incurs against
+// the local critic, on top of forward + inverse loss.
+TEST(GanTrainer, AdversarialMetricAddsTheMeanCriticBce) {
+  ScoredTrainer fx;
+  GanTrainer& trainer = fx.trainer();
+  const std::vector<std::size_t>& view = trainer.tournament_view();
+  double bce_sum = 0.0;
+  std::size_t batches = 0;
+  for (std::size_t begin = 0; begin < view.size(); begin += 16) {
+    const std::size_t end = std::min(begin + 16, view.size());
+    const std::vector<std::size_t> positions(
+        view.begin() + static_cast<std::ptrdiff_t>(begin),
+        view.begin() + static_cast<std::ptrdiff_t>(end));
+    bce_sum += trainer.model()
+                   .evaluate(data::make_batch(fx.dataset, positions))
+                   .generator_adversarial;
+    ++batches;
+  }
+  ASSERT_GT(batches, 1u);
+  const double mean_bce = bce_sum / static_cast<double>(batches);
+  ASSERT_GT(mean_bce, 0.0);
+  const double plain =
+      tournament_score(trainer, TournamentMetric::ForwardInverse);
+  const double adversarial =
+      tournament_score(trainer, TournamentMetric::ForwardInverseAdversarial);
+  EXPECT_NEAR(adversarial - plain, mean_bce, 1e-12 * (1.0 + adversarial));
 }
 
 // ---- LocalLtfbDriver ----------------------------------------------------------------

@@ -1,15 +1,21 @@
 // Tests for the CycleGAN surrogate: construction, training dynamics,
-// generator/discriminator exchange semantics, and the data-parallel
-// gradient-sync hook.
+// generator/discriminator exchange semantics, the data-parallel
+// gradient-sync hook, and the pruned passes (lean score, backward sweeps
+// that compute only the gradients a step reads).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
+#include "comm/communicator.hpp"
 #include "data/data_reader.hpp"
 #include "data/dataset.hpp"
 #include "gan/cyclegan.hpp"
+#include "nn/loss.hpp"
+#include "nn/parallel.hpp"
 #include "perf/model_cost.hpp"
+#include "telemetry/telemetry.hpp"
 #include "tensor/ops.hpp"
 
 namespace {
@@ -226,6 +232,185 @@ TEST(CycleGan, EvaluateDoesNotMutateWeights) {
   (void)model.evaluate(batch_of(dataset, 8));
   EXPECT_EQ(model.generator_weights(), before);
   EXPECT_EQ(model.discriminator_weights(), disc_before);
+}
+
+// ---- pruned passes ----------------------------------------------------------
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// CycleGan::train_step spelled out through the component models with every
+/// backward computing weight AND input gradients — the unpruned sweep.
+/// `hook` and `sync` wire a data-parallel trainer as train_step does.
+void full_backward_step(CycleGan& gan, const data::Batch& batch,
+                        const nn::Model::BackwardHook& hook,
+                        const CycleGan::GradientSync& sync) {
+  nn::Model& enc = gan.encoder();
+  nn::Model& dec = gan.decoder();
+  nn::Model& fwd = gan.forward_model();
+  nn::Model& inv = gan.inverse_model();
+  nn::Model& disc = gan.discriminator();
+  auto out = [](const nn::Model& m) { return m.layer_count() - 1; };
+  const CycleGanConfig& cfg = gan.config();
+
+  enc.zero_gradients();
+  dec.zero_gradients();
+  enc.forward({&batch.outputs}, true);
+  dec.forward({&enc.output(out(enc))}, true);
+  tensor::Tensor grad;
+  nn::mae_loss(dec.output(out(dec)), batch.outputs, &grad);
+  dec.add_output_gradient(out(dec), grad);
+  dec.backward(hook);
+  enc.add_output_gradient(out(enc), dec.input_gradient(0));
+  enc.backward(hook);
+  if (sync) sync({&enc, &dec});
+  enc.apply_optimizer_step();
+  dec.apply_optimizer_step();
+
+  enc.forward({&batch.outputs}, false);
+  const tensor::Tensor real_latent = enc.output(out(enc));
+  fwd.forward({&batch.inputs}, false);
+  const tensor::Tensor fake_latent = fwd.output(out(fwd));
+  disc.zero_gradients();
+  tensor::Tensor d_grad;
+  disc.forward({&real_latent}, true);
+  nn::bce_with_logits(disc.output(out(disc)), 1.0f, &d_grad);
+  disc.add_output_gradient(out(disc), d_grad);
+  disc.backward();
+  disc.forward({&fake_latent}, true);
+  nn::bce_with_logits(disc.output(out(disc)), 0.0f, &d_grad);
+  disc.add_output_gradient(out(disc), d_grad);
+  disc.backward(hook);
+  if (sync) sync({&disc});
+  disc.apply_optimizer_step();
+
+  fwd.zero_gradients();
+  inv.zero_gradients();
+  dec.zero_gradients();
+  disc.zero_gradients();
+  fwd.forward({&batch.inputs}, true);
+  const tensor::Tensor& z = fwd.output(out(fwd));
+  dec.forward({&z}, true);
+  tensor::Tensor fid_grad;
+  nn::mae_loss(dec.output(out(dec)), batch.outputs, &fid_grad);
+  tensor::scale(cfg.lambda_fidelity, fid_grad.data());
+  dec.add_output_gradient(out(dec), fid_grad);
+  dec.backward();
+  fwd.add_output_gradient(out(fwd), dec.input_gradient(0));
+  disc.forward({&z}, true);
+  tensor::Tensor adv_grad;
+  nn::bce_with_logits(disc.output(out(disc)), 1.0f, &adv_grad);
+  tensor::scale(cfg.lambda_adversarial, adv_grad.data());
+  disc.add_output_gradient(out(disc), adv_grad);
+  disc.backward();
+  fwd.add_output_gradient(out(fwd), disc.input_gradient(0));
+  if (cfg.lambda_latent > 0.0f) {
+    tensor::Tensor lat_grad;
+    nn::mae_loss(z, real_latent, &lat_grad);
+    tensor::scale(cfg.lambda_latent, lat_grad.data());
+    fwd.add_output_gradient(out(fwd), lat_grad);
+  }
+  inv.forward({&z}, true);
+  tensor::Tensor cyc_grad;
+  nn::mae_loss(inv.output(out(inv)), batch.inputs, &cyc_grad);
+  tensor::scale(cfg.lambda_cycle, cyc_grad.data());
+  inv.add_output_gradient(out(inv), cyc_grad);
+  inv.backward(hook);
+  fwd.add_output_gradient(out(fwd), inv.input_gradient(0));
+  fwd.backward(hook);
+  if (sync) sync({&fwd, &inv});
+  fwd.apply_optimizer_step();
+  inv.apply_optimizer_step();
+}
+
+/// Three train_steps (pruned backward) against three full-backward replays
+/// on a trainer of `ranks` data-parallel ranks, each with the gradient
+/// bucketer wired into both; true per rank when every weight and every
+/// Adam moment matches bit for bit.
+std::vector<int> pruned_matches_full_replay(int ranks) {
+  CycleGanConfig config = tiny_config();
+  config.mixed_precision = false;
+  const data::Dataset dataset = tiny_dataset(96, 21);
+  std::vector<int> matched(static_cast<std::size_t>(ranks), 0);
+  comm::World::run(ranks, [&](comm::Communicator& comm) {
+    // Small buckets, so each backward launches several all-reduces.
+    nn::GradientBucketer bucketer(comm, /*bucket_bytes=*/512,
+                                  nn::WireDtype::Fp32);
+    const nn::Model::BackwardHook hook = [&](nn::Weights& w) {
+      bucketer.on_layer_backward(w);
+    };
+    const CycleGan::GradientSync sync =
+        [&](const std::vector<nn::Model*>& models) {
+          bucketer.finish(models);
+        };
+    CycleGan pruned(config, 22);
+    CycleGan full(config, 22);
+    pruned.set_backward_hook(hook);
+    pruned.set_gradient_sync(sync);
+    const std::size_t rows = 16 / static_cast<std::size_t>(ranks);
+    for (std::size_t step = 0; step < 3; ++step) {
+      std::vector<std::size_t> positions(rows);
+      std::iota(positions.begin(), positions.end(),
+                step * 16 + static_cast<std::size_t>(comm.rank()) * rows);
+      const data::Batch shard = data::make_batch(dataset, positions);
+      pruned.train_step(shard);
+      full_backward_step(full, shard, hook, sync);
+    }
+    matched[static_cast<std::size_t>(comm.rank())] =
+        same_bits(pruned.generator_weights(), full.generator_weights()) &&
+        same_bits(pruned.discriminator_weights(),
+                  full.discriminator_weights()) &&
+        same_bits(pruned.optimizer_state(), full.optimizer_state());
+  });
+  return matched;
+}
+
+TEST(CycleGan, PrunedBackwardMatchesFullReplayOneRank) {
+  EXPECT_EQ(pruned_matches_full_replay(1), std::vector<int>({1}));
+}
+
+TEST(CycleGan, PrunedBackwardMatchesFullReplayTwoRanks) {
+  EXPECT_EQ(pruned_matches_full_replay(2), std::vector<int>({1, 1}));
+}
+
+/// GEMM calls made by `fn`, read from the tensor/gemm timer.
+template <typename Fn>
+std::uint64_t gemm_calls(Fn&& fn) {
+  auto& registry = telemetry::Registry::instance();
+  const bool was_enabled = registry.is_enabled();
+  registry.set_enabled(true);
+  const telemetry::Timer gemm = registry.timer("tensor/gemm");
+  const std::uint64_t before = gemm.count();
+  fn();
+  const std::uint64_t calls = gemm.count() - before;
+  registry.set_enabled(was_enabled);
+  return calls;
+}
+
+// The step computes only the gradients it reads: of the 75 GEMMs a full
+// sweep makes on the default five-network model, it skips E's and F's
+// input gradients (2), the critic's input gradient in its own update (2),
+// and the frozen Dec and critic weight gradients in the generator update
+// (6). A score runs F, Dec and G (and the critic on F(x)), not E.
+TEST(CycleGan, StepAndScoreIssueOnlyTheGemmsTheyRead) {
+#if !LTFB_TELEMETRY_ENABLED
+  GTEST_SKIP() << "GEMM calls are counted by telemetry, compiled out here";
+#endif
+  CycleGanConfig config;
+  config.image_width = 48;
+  config.mixed_precision = false;
+  const data::Dataset dataset = tiny_dataset(32, 23);
+  const data::Batch batch = batch_of(dataset, 8);
+  CycleGan model(config, 24);
+  CycleGan replay(config, 24);
+  EXPECT_EQ(gemm_calls([&] { model.train_step(batch); }), 65u);
+  EXPECT_EQ(gemm_calls([&] { full_backward_step(replay, batch, {}, {}); }),
+            75u);
+  EXPECT_EQ(gemm_calls([&] { (void)model.score(batch, false); }), 8u);
+  EXPECT_EQ(gemm_calls([&] { (void)model.score(batch, true); }), 11u);
+  EXPECT_EQ(gemm_calls([&] { (void)model.evaluate(batch); }), 20u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // across the whole DAG, optimizers, losses, and data-parallel hooks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -440,6 +441,58 @@ TEST(Model, InputGradientBeforeBackwardThrows) {
   model.forward({&x});
   model.zero_gradients();
   EXPECT_THROW(model.input_gradient(0), InvalidArgument);
+}
+
+// Diamond DAG: input -> (dense tanh | slice) -> concat -> linear. The
+// dense and slice layers read the input directly; concat and linear do not.
+Model build_diamond_model() {
+  Model model("m", 14);
+  const LayerId in = model.add_input(3);
+  const LayerId left = model.add_dense(in, 4, ActivationKind::Tanh);
+  const LayerId right = model.add(std::make_unique<Slice>(0, 2), {in});
+  const LayerId cat = model.add(std::make_unique<Concat>(), {left, right});
+  model.add_linear(cat, 2);
+  return model;
+}
+
+// One backward of a fresh diamond model at `wanted` from a fixed loss.
+Model diamond_after_backward(Gradients wanted,
+                             const Model::BackwardHook& hook = {}) {
+  Model model = build_diamond_model();
+  const LayerId out = model.layer_count() - 1;
+  const Tensor x = random_batch(5, 3, 24);
+  const Tensor target = random_batch(5, 2, 25);
+  model.forward({&x}, false);
+  Tensor grad;
+  mse_loss(model.output(out), target, &grad);
+  model.zero_gradients();
+  model.add_output_gradient(out, grad);
+  model.backward(hook, wanted);
+  return model;
+}
+
+TEST(Model, WeightsOnlyBackwardMatchesFullWeightGradients) {
+  Model full = diamond_after_backward(Gradients::Both);
+  std::size_t hooked = 0;
+  Model pruned = diamond_after_backward(Gradients::Weights,
+                                        [&](Weights&) { ++hooked; });
+  EXPECT_EQ(pruned.flatten_gradients(), full.flatten_gradients());
+  // Every weights object still reaches the overlap seam.
+  EXPECT_EQ(hooked, pruned.weights().size());
+  // The input gradient was not computed, and asking for it says so.
+  EXPECT_NO_THROW(full.input_gradient(0));
+  EXPECT_THROW(pruned.input_gradient(0), InvalidArgument);
+}
+
+TEST(Model, InputsOnlyBackwardMatchesFullInputGradient) {
+  Model full = diamond_after_backward(Gradients::Both);
+  Model pruned = diamond_after_backward(Gradients::Inputs);
+  const Tensor& expect = full.input_gradient(0);
+  const Tensor& got = pruned.input_gradient(0);
+  ASSERT_TRUE(got.same_shape(expect));
+  EXPECT_TRUE(std::equal(got.data().begin(), got.data().end(),
+                         expect.data().begin()));
+  for (const float g : pruned.flatten_gradients()) EXPECT_EQ(g, 0.0f);
 }
 
 TEST(Model, FanOutGradientsAccumulate) {
