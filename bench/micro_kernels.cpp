@@ -5,9 +5,11 @@
 // evaluation, and the JAG simulator itself.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <iostream>
 #include <numeric>
+#include <vector>
 
 #include "bench_telemetry.hpp"
 #include "comm/communicator.hpp"
@@ -86,20 +88,28 @@ void BM_GemmTransposed(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmTransposed)->Arg(128)->UseRealTime();
 
-// GEMM shapes of one training step of the perfbench dp-skinny CycleGAN
-// (default widths, image width 192, per-rank batch 64), plus 128^3. For a
-// dense layer in->out at batch B: forward (B, out, in) NN, weight gradient
-// (in, out, B) TN, input gradient (B, in, out) NT. The layers listed are
-// the ones with a GEMM wider than one 64x128 macro-block — the only GEMMs
-// the pool can split; the single-block ones run inline at any pool size.
-// These readings set kParallelMnkThreshold in src/tensor/gemm.cpp: the
-// smallest m*n*k at which pool 2 beats serial.
+// GEMM shapes of one training step of the perfbench CycleGANs, plus 128^3.
+// For a dense layer in->out at batch B: forward (B, out, in) NN, weight
+// gradient (in, out, B) TN, input gradient (B, in, out) NT.
+//   - dp-skinny (default widths, image width 192, per-rank batch 64): the
+//     layers with a GEMM wider than one 64x128 macro-block — the only GEMMs
+//     the pool can split; the single-block ones run inline at any pool size.
+//     These readings set kParallelMnkThreshold in src/tensor/gemm.cpp: the
+//     smallest m*n*k at which pool 2 beats serial.
+//   - tournament-wide (image width 3072 + 15 scalars, batch 128): the
+//     3087-wide first encoder layer (whose input gradient is never
+//     computed) and last decoder layer, where most of a step's FLOPs are.
+//   - the narrow outputs (batch 128): the critic's logit (16 -> 1), G's
+//     parameter estimate (32 -> 5) and the encoder's latent (64 -> 20),
+//     whose column counts are below one register tile.
 struct GemmShape {
   const char* label;
   tensor::Op op_a, op_b;
   std::size_t m, n, k;
 };
 constexpr std::size_t kShapeBatch = 64;
+constexpr std::size_t kWideBatch = 128;
+constexpr std::size_t kWideWidth = 3087;
 const GemmShape kGemmShapes[] = {
     {"enc1_fwd", tensor::Op::None, tensor::Op::None, kShapeBatch, 128, 207},
     {"enc1_wgrad", tensor::Op::Transpose, tensor::Op::None, 207, 128,
@@ -117,6 +127,29 @@ const GemmShape kGemmShapes[] = {
     {"dec3_dgrad", tensor::Op::None, tensor::Op::Transpose, kShapeBatch, 128,
      207},
     {"cube", tensor::Op::None, tensor::Op::None, 128, 128, 128},
+    {"tw_e1_fwd", tensor::Op::None, tensor::Op::None, kWideBatch, 128,
+     kWideWidth},
+    {"tw_e1_wgrad", tensor::Op::Transpose, tensor::Op::None, kWideWidth, 128,
+     kWideBatch},
+    {"tw_dec3_fwd", tensor::Op::None, tensor::Op::None, kWideBatch,
+     kWideWidth, 128},
+    {"tw_dec3_wgrad", tensor::Op::Transpose, tensor::Op::None, 128,
+     kWideWidth, kWideBatch},
+    {"tw_dec3_dgrad", tensor::Op::None, tensor::Op::Transpose, kWideBatch,
+     128, kWideWidth},
+    {"d_out_fwd", tensor::Op::None, tensor::Op::None, kWideBatch, 1, 16},
+    {"d_out_wgrad", tensor::Op::Transpose, tensor::Op::None, 16, 1,
+     kWideBatch},
+    {"d_out_dgrad", tensor::Op::None, tensor::Op::Transpose, kWideBatch, 16,
+     1},
+    {"g_out_fwd", tensor::Op::None, tensor::Op::None, kWideBatch, 5, 32},
+    {"g_out_wgrad", tensor::Op::Transpose, tensor::Op::None, 32, 5,
+     kWideBatch},
+    {"g_out_dgrad", tensor::Op::None, tensor::Op::Transpose, kWideBatch, 32,
+     5},
+    {"e3_fwd", tensor::Op::None, tensor::Op::None, kWideBatch, 20, 64},
+    {"e3_wgrad", tensor::Op::Transpose, tensor::Op::None, 64, 20, kWideBatch},
+    {"e3_dgrad", tensor::Op::None, tensor::Op::Transpose, kWideBatch, 64, 20},
 };
 
 void BM_GemmShapes(benchmark::State& state) {
@@ -311,6 +344,41 @@ void BM_DataStoreFetch(benchmark::State& state) {
 }
 BENCHMARK(BM_DataStoreFetch);
 
+// Register-resident multiply-add throughput of one thread at this build's
+// SIMD width: the ceiling a register-tiled GEMM kernel approaches. Twelve
+// independent vector chains cover the multiply-add latency on two FMA
+// ports; each step is acc = acc * x + y, which the compiler can neither
+// hoist out of the loop nor fold. The unrolled chain loop keeps every
+// accumulator index constant, so the chains live in registers.
+double probe_mul_add_gflops() {
+  using tensor::simd::vf;
+  constexpr std::size_t kChains = 12;
+  constexpr std::size_t kSteps = std::size_t{1} << 22;
+  // Operands read through volatile: constants would become memory
+  // operands of the multiply-adds.
+  volatile float x_in = 0.999f, y_in = 1e-3f;
+  const vf x = vf::broadcast(x_in);
+  const vf y = vf::broadcast(y_in);
+  vf acc[kChains];
+#pragma GCC unroll 16
+  for (std::size_t i = 0; i < kChains; ++i) {
+    acc[i] = vf::broadcast(static_cast<float>(i));
+  }
+  const std::uint64_t start = telemetry::now_ns();
+  for (std::size_t step = 0; step < kSteps; ++step) {
+#pragma GCC unroll 16
+    for (std::size_t i = 0; i < kChains; ++i) acc[i] = y.mul_add(acc[i], x);
+  }
+  const double seconds =
+      static_cast<double>(telemetry::now_ns() - start) * 1e-9;
+  float sink = 0.0f;
+#pragma GCC unroll 16
+  for (std::size_t i = 0; i < kChains; ++i) sink += acc[i].hsum();
+  benchmark::DoNotOptimize(sink);
+  return 2.0 * static_cast<double>(kChains * tensor::simd::kNativeWidth) *
+         static_cast<double>(kSteps) / seconds / 1e9;
+}
+
 // Explicit GEMM thread-scaling measurement for the regression gate
 // (tools/bench_check.py): GFLOP/s at 512^3 serial and with a 4-worker pool,
 // recorded as gauges in BENCH_micro_kernels.json. Separate from the
@@ -344,17 +412,36 @@ void record_gemm_scaling_gauges() {
   };
   const double serial = measure(1);
   const double pool4 = measure(4);
+  // Kernel efficiency: serial 512^3 GFLOP/s over the multiply-add probe,
+  // in back-to-back pairs so both sides of a ratio see the same clock and
+  // machine load; the gauge is the median pair. Unlike the GFLOP/s floor it
+  // does not move with the host's clock, so it can tell a kernel whose
+  // register tile spills to the stack (~0.2 of the probe under AVX2) from
+  // one that keeps it in registers.
+  std::vector<double> peaks, fracs;
+  for (int pair = 0; pair < 5; ++pair) {
+    peaks.push_back(probe_mul_add_gflops());
+    fracs.push_back(measure(1) / peaks.back());
+  }
+  std::sort(peaks.begin(), peaks.end());
+  std::sort(fracs.begin(), fracs.end());
+  const double peak = peaks[peaks.size() / 2];
+  const double peak_frac = fracs[fracs.size() / 2];
   util::ComputePool::instance().resize(util::ComputePool::env_threads());
   LTFB_GAUGE_SET("bench/simd_width",
                  static_cast<double>(tensor::simd::kNativeWidth));
   LTFB_GAUGE_SET("bench/gemm_serial_gflops", serial);
   LTFB_GAUGE_SET("bench/gemm_pool4_gflops", pool4);
   LTFB_GAUGE_SET("bench/gemm_speedup_4t", pool4 / serial);
+  LTFB_GAUGE_SET("bench/mul_add_peak_gflops", peak);
+  LTFB_GAUGE_SET("bench/gemm_peak_frac", peak_frac);
   LTFB_GAUGE_SET("bench/gemm_flops_per_call", flops);
   LTFB_GAUGE_SET("bench/gemm_bytes_moved_per_call", gemm_bytes);
   std::cout << "gemm 512^3 (simd width " << tensor::simd::kNativeWidth
             << "): serial " << serial << " GFLOP/s, pool(4) " << pool4
-            << " GFLOP/s, speedup " << pool4 / serial << "x\n";
+            << " GFLOP/s, speedup " << pool4 / serial << "x, "
+            << peak_frac << " of the " << peak
+            << " GFLOP/s multiply-add peak\n";
 }
 
 // Streaming-kernel bandwidth gauge: axpy moves 3 floats of traffic per

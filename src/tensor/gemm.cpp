@@ -11,9 +11,11 @@
 #include "util/compute_pool.hpp"
 
 // Restrict-qualified pointers let the compiler prove the packed A/B blocks
-// and the C tile never alias, which is what unlocks auto-vectorization of
-// the register-tile loops below.
+// and the C tile never alias.
 #define LTFB_GEMM_RESTRICT __restrict
+// Full unrolling of a fixed-trip register-tile loop (GCC and Clang both
+// read the GCC spelling).
+#define LTFB_GEMM_UNROLL _Pragma("GCC unroll 16")
 
 namespace ltfb::tensor {
 
@@ -40,57 +42,34 @@ Dims check_dims(Op op_a, Op op_b, const Tensor& a, const Tensor& b,
   return {m, n, ka};
 }
 
-// Packs op(A)'s (i0..i0+mb) x (k0..k0+kb) block row-major into `buf`,
-// folding alpha into the packed values (one multiply per element instead of
-// one per use in the kernel).
-void pack_a(Op op, const Tensor& a, float alpha, std::size_t i0,
-            std::size_t mb, std::size_t k0, std::size_t kb, float* buf) {
-  const std::size_t lda = a.cols();
-  if (op == Op::None) {
-    for (std::size_t i = 0; i < mb; ++i) {
-      const float* src = a.raw() + (i0 + i) * lda + k0;
-      std::copy_n(src, kb, buf + i * kb);
-    }
-  } else {
-    for (std::size_t i = 0; i < mb; ++i) {
-      for (std::size_t k = 0; k < kb; ++k) {
-        buf[i * kb + k] = a.raw()[(k0 + k) * lda + (i0 + i)];
-      }
-    }
-  }
-  if (alpha != 1.0f) {
-    for (std::size_t i = 0; i < mb * kb; ++i) buf[i] *= alpha;
-  }
-}
-
-// Packs op(B)'s (k0..k0+kb) x (j0..j0+nb) block row-major into `buf`.
-void pack_b(Op op, const Tensor& b, std::size_t k0, std::size_t kb,
-            std::size_t j0, std::size_t nb, float* buf) {
-  const std::size_t ldb = b.cols();
-  if (op == Op::None) {
-    for (std::size_t k = 0; k < kb; ++k) {
-      const float* src = b.raw() + (k0 + k) * ldb + j0;
-      std::copy_n(src, nb, buf + k * nb);
-    }
-  } else {
-    for (std::size_t k = 0; k < kb; ++k) {
-      for (std::size_t j = 0; j < nb; ++j) {
-        buf[k * nb + j] = b.raw()[(j0 + j) * ldb + (k0 + k)];
-      }
-    }
-  }
-}
-
 // Cache blocking: an A block (kBlockM x kBlockK) plus a B block
 // (kBlockK x kBlockN) stay resident in L2 while the register tiles sweep.
+// kBlockK is part of the accumulation contract (gemm.hpp); kBlockM and
+// kBlockN only decide which tile computes an element, never how.
 constexpr std::size_t kBlockM = 64;
 constexpr std::size_t kBlockN = 128;
-constexpr std::size_t kBlockK = 128;
+constexpr std::size_t kBlockK = kGemmBlockK;
 
-// Register tile: 4 rows of A against 16 columns of B, accumulated in a
-// fixed-size local array the compiler keeps in vector registers.
-constexpr std::size_t kMr = 4;
-constexpr std::size_t kNr = 16;
+// Register tile: kMr rows of A against kNv native vectors of B columns.
+// The kMr * kNv accumulators, kNv B vectors and one broadcast A value must
+// fit the vector register file, or the compiler keeps the tile on the stack
+// and every multiply-add becomes a load, an FMA and a store. 6 x 2 uses 15
+// of AVX2's 16 ymm registers; its 12 independent FMA chains also cover the
+// FMA latency, where a 4 x 2 tile's 8 chains ran at ~3/4 of its rate
+// (BM_GemmShapes).
+constexpr std::size_t kW = simd::kNativeWidth;
+constexpr std::size_t kMr = 6;
+constexpr std::size_t kNv = 2;
+constexpr std::size_t kNr = kNv * kW;
+
+// Packed-buffer geometry: A is packed in kMr-row panels and B in kNr-column
+// panels, each zero-padded to the full panel, so every tile — edge tiles
+// included — runs the vector kernel.
+constexpr std::size_t round_up(std::size_t x, std::size_t to) {
+  return (x + to - 1) / to * to;
+}
+static_assert(kBlockN % kNr == 0, "B panels must tile the macro-block");
+static_assert(kNv == 2, "macro_kernel dispatches tiles of 1 or kNv vectors");
 
 // Below this many multiply-adds (2*m*n*k FLOPs / 2), waking pool threads
 // costs as much as they save: run the block loop inline. Set by
@@ -103,80 +82,165 @@ constexpr std::size_t kParallelMnkThreshold = 207u * 128u * 64u;
 // Per-worker pack buffers — hoisted out of the call frame so every pool
 // worker (and the calling thread on the serial path) reuses its own warm,
 // cache-aligned copy instead of re-touching fresh stack pages per call.
-alignas(64) thread_local std::array<float, kBlockM * kBlockK> tl_abuf;
+alignas(64) thread_local std::array<float, round_up(kBlockM, kMr) * kBlockK>
+    tl_abuf;
 alignas(64) thread_local std::array<float, kBlockK * kBlockN> tl_bbuf;
 
-// Register-tile vector geometry: kNr columns hold kNv native vectors.
-constexpr std::size_t kW = simd::kNativeWidth;
-static_assert(kNr % kW == 0,
-              "register tile width must be a multiple of the vector width");
-constexpr std::size_t kNv = kNr / kW;
-
-// Full 4x16 register tile: kNv vector accumulators per A row, updated with
-// a broadcast-A multiply-add against the packed B row. At width 1 this
-// expands to exactly the scalar accumulation loop the pre-SIMD kernel ran
-// (same expression, same per-element order), which is the bit-identity
-// anchor the scalar build is held to.
-void micro_kernel_full(const float* LTFB_GEMM_RESTRICT a,
-                       const float* LTFB_GEMM_RESTRICT b, std::size_t kb,
-                       std::size_t nb, float* LTFB_GEMM_RESTRICT c,
-                       std::size_t ldc) {
-  using simd::vf;
-  vf acc[kMr][kNv] = {};
-  for (std::size_t kk = 0; kk < kb; ++kk) {
-    const float* LTFB_GEMM_RESTRICT brow = b + kk * nb;
-    vf bv[kNv];
-    for (std::size_t col = 0; col < kNv; ++col) {
-      bv[col] = vf::load(brow + col * kW);
-    }
-    for (std::size_t r = 0; r < kMr; ++r) {
-      const vf av = vf::broadcast(a[r * kb + kk]);
-      for (std::size_t col = 0; col < kNv; ++col) {
-        acc[r][col] = acc[r][col].mul_add(av, bv[col]);
+// Packs op(A)'s (i0..i0+mb) x (k0..k0+kb) block into kMr-row panels: panel
+// p holds rows p*kMr.. k-major (element (r, kk) at kk*kMr + r), so the
+// kernel reads its A column as one contiguous run. Rows past mb are zero.
+// Alpha is folded into the packed values (one multiply per element instead
+// of one per use in the kernel).
+void pack_a(Op op, const Tensor& a, float alpha, std::size_t i0,
+            std::size_t mb, std::size_t k0, std::size_t kb, float* buf) {
+  const std::size_t lda = a.cols();
+  const float* src = a.raw();
+  for (std::size_t p = 0; p < mb; p += kMr) {
+    const std::size_t rows = std::min(kMr, mb - p);
+    float* panel = buf + p * kb;
+    if (rows < kMr) std::fill_n(panel, kMr * kb, 0.0f);
+    if (op == Op::None) {
+      const float* row = src + (i0 + p) * lda + k0;
+      if (rows == kMr) {
+        for (std::size_t kk = 0; kk < kb; ++kk) {
+          LTFB_GEMM_UNROLL
+          for (std::size_t r = 0; r < kMr; ++r) {
+            panel[kk * kMr + r] = row[r * lda + kk];
+          }
+        }
+      } else {
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t kk = 0; kk < kb; ++kk) {
+            panel[kk * kMr + r] = row[r * lda + kk];
+          }
+        }
+      }
+    } else {
+      for (std::size_t kk = 0; kk < kb; ++kk) {
+        const float* col = src + (k0 + kk) * lda + i0 + p;
+        for (std::size_t r = 0; r < rows; ++r) panel[kk * kMr + r] = col[r];
       }
     }
   }
-  for (std::size_t r = 0; r < kMr; ++r) {
-    for (std::size_t col = 0; col < kNv; ++col) {
-      float* ct = c + r * ldc + col * kW;
-      (vf::load(ct) + acc[r][col]).store(ct);
+  if (alpha != 1.0f) {
+    for (std::size_t i = 0; i < round_up(mb, kMr) * kb; ++i) buf[i] *= alpha;
+  }
+}
+
+// Packs op(B)'s (k0..k0+kb) x (j0..j0+nb) block into kNr-column panels:
+// panel q holds columns q*kNr.. k-major (element (kk, c) at kk*kNr + c).
+// Columns past nb are zero, so the kernel's vector lanes there sum zeros
+// and are never stored.
+void pack_b(Op op, const Tensor& b, std::size_t k0, std::size_t kb,
+            std::size_t j0, std::size_t nb, float* buf) {
+  using simd::vf;
+  const std::size_t ldb = b.cols();
+  const float* src = b.raw();
+  const std::size_t full = nb - nb % kNr;
+  if (full < nb) std::fill_n(buf + full * kb, kb * kNr, 0.0f);
+  if (op == Op::None) {
+    for (std::size_t kk = 0; kk < kb; ++kk) {
+      const float* row = src + (k0 + kk) * ldb + j0;
+      for (std::size_t q = 0; q < full; q += kNr) {
+        LTFB_GEMM_UNROLL
+        for (std::size_t v = 0; v < kNr; v += kW) {
+          vf::load(row + q + v).store(buf + q * kb + kk * kNr + v);
+        }
+      }
+      for (std::size_t j = full; j < nb; ++j) {
+        buf[full * kb + kk * kNr + (j - full)] = row[j];
+      }
+    }
+  } else {
+    for (std::size_t j = 0; j < nb; ++j) {
+      const float* col = src + (j0 + j) * ldb + k0;
+      float* panel = buf + (j - j % kNr) * kb + j % kNr;
+      for (std::size_t kk = 0; kk < kb; ++kk) panel[kk * kNr] = col[kk];
     }
   }
 }
 
-// Edge tile (mr <= kMr rows, nr <= kNr cols): full vectors over the leading
-// nr/kW column groups, scalar accumulators for the remainder lanes. Same
-// accumulation order per element as the full kernel, so every C element
-// sums its k terms identically no matter which tile shape covers it.
-void micro_kernel_edge(const float* LTFB_GEMM_RESTRICT a,
-                       const float* LTFB_GEMM_RESTRICT b, std::size_t kb,
-                       std::size_t nb, std::size_t mr, std::size_t nr,
-                       float* LTFB_GEMM_RESTRICT c, std::size_t ldc) {
+// Register tile over Nv vectors (Nv * kW columns) of one packed B panel:
+// kMr x Nv vector accumulators, each C element's k terms summed from zero
+// in k order with a broadcast-A multiply-add, then added into C. Only the
+// mr x nr valid corner is stored. The fixed-trip loops carry unroll
+// pragmas: fully unrolled, every accumulator index is a compile-time
+// constant and the tile lives in registers; rolled (GCC at -O2 unrolls
+// only when the body does not grow), the tile is an addressed array and
+// stays on the stack. At width 1 each lane expands to the scalar loop the
+// pre-SIMD kernel ran (same expression, same per-element order).
+template <std::size_t Nv>
+void micro_kernel(const float* LTFB_GEMM_RESTRICT a,
+                  const float* LTFB_GEMM_RESTRICT b, std::size_t kb,
+                  std::size_t mr, std::size_t nr, float* LTFB_GEMM_RESTRICT c,
+                  std::size_t ldc) {
   using simd::vf;
-  vf vacc[kMr][kNv] = {};
-  float sacc[kMr][kNr] = {};
-  const std::size_t nv = nr / kW;
-  const std::size_t ns = nr % kW;
+  vf acc[kMr][Nv];
+  LTFB_GEMM_UNROLL
+  for (std::size_t r = 0; r < kMr; ++r) {
+    LTFB_GEMM_UNROLL
+    for (std::size_t col = 0; col < Nv; ++col) acc[r][col] = vf::zero();
+  }
   for (std::size_t kk = 0; kk < kb; ++kk) {
-    const float* LTFB_GEMM_RESTRICT brow = b + kk * nb;
-    for (std::size_t r = 0; r < mr; ++r) {
-      const float as = a[r * kb + kk];
-      const vf av = vf::broadcast(as);
-      for (std::size_t col = 0; col < nv; ++col) {
-        vacc[r][col] = vacc[r][col].mul_add(av, vf::load(brow + col * kW));
-      }
-      for (std::size_t s = 0; s < ns; ++s) {
-        sacc[r][s] += as * brow[nv * kW + s];
+    const float* LTFB_GEMM_RESTRICT brow = b + kk * kNr;
+    const float* LTFB_GEMM_RESTRICT acol = a + kk * kMr;
+    vf bv[Nv];
+    LTFB_GEMM_UNROLL
+    for (std::size_t col = 0; col < Nv; ++col) {
+      bv[col] = vf::load(brow + col * kW);
+    }
+    LTFB_GEMM_UNROLL
+    for (std::size_t r = 0; r < kMr; ++r) {
+      const vf av = vf::broadcast(acol[r]);
+      LTFB_GEMM_UNROLL
+      for (std::size_t col = 0; col < Nv; ++col) {
+        acc[r][col] = acc[r][col].mul_add(av, bv[col]);
       }
     }
   }
-  for (std::size_t r = 0; r < mr; ++r) {
-    for (std::size_t col = 0; col < nv; ++col) {
-      float* ct = c + r * ldc + col * kW;
-      (vf::load(ct) + vacc[r][col]).store(ct);
+  if (mr == kMr && nr == Nv * kW) {
+    LTFB_GEMM_UNROLL
+    for (std::size_t r = 0; r < kMr; ++r) {
+      LTFB_GEMM_UNROLL
+      for (std::size_t col = 0; col < Nv; ++col) {
+        float* ct = c + r * ldc + col * kW;
+        (vf::load(ct) + acc[r][col]).store(ct);
+      }
     }
-    for (std::size_t s = 0; s < ns; ++s) {
-      c[r * ldc + nv * kW + s] += sacc[r][s];
+    return;
+  }
+  // Edge tile: spill the finished tile once (constant indices, so the
+  // accumulators above stay in registers) and add its valid corner.
+  float tile[kMr][Nv * kW];
+  LTFB_GEMM_UNROLL
+  for (std::size_t r = 0; r < kMr; ++r) {
+    LTFB_GEMM_UNROLL
+    for (std::size_t col = 0; col < Nv; ++col) {
+      acc[r][col].store(&tile[r][col * kW]);
+    }
+  }
+  for (std::size_t r = 0; r < mr; ++r) {
+    for (std::size_t j = 0; j < nr; ++j) c[r * ldc + j] += tile[r][j];
+  }
+}
+
+// Runs the register tile over the (mb x nb) macro-block held in the packed
+// buffers. Each B panel is swept by every A panel while it sits in L1.
+void macro_kernel(const float* abuf, const float* bbuf, std::size_t mb,
+                  std::size_t nb, std::size_t kb, float* c, std::size_t ldc) {
+  for (std::size_t j = 0; j < nb; j += kNr) {
+    const std::size_t nr = std::min(kNr, nb - j);
+    // Vectors the valid columns need: a narrow edge skips the zero vectors.
+    const std::size_t nv = (nr + kW - 1) / kW;
+    for (std::size_t i = 0; i < mb; i += kMr) {
+      const std::size_t mr = std::min(kMr, mb - i);
+      float* ctile = c + i * ldc + j;
+      if (nv == kNv) {
+        micro_kernel<kNv>(abuf + i * kb, bbuf + j * kb, kb, mr, nr, ctile,
+                          ldc);
+      } else {
+        micro_kernel<1>(abuf + i * kb, bbuf + j * kb, kb, mr, nr, ctile, ldc);
+      }
     }
   }
 }
@@ -283,19 +347,7 @@ void gemm(Op op_a, Op op_b, float alpha, const Tensor& a, const Tensor& b,
       const std::size_t kb = std::min(kBlockK, k - k0);
       pack_a(op_a, a, alpha, i0, mb, k0, kb, abuf);
       pack_b(op_b, b, k0, kb, j0, nb, bbuf);
-      for (std::size_t i = 0; i < mb; i += kMr) {
-        const std::size_t mr = std::min(kMr, mb - i);
-        for (std::size_t j = 0; j < nb; j += kNr) {
-          const std::size_t nr = std::min(kNr, nb - j);
-          float* ctile = cp + (i0 + i) * n + (j0 + j);
-          if (mr == kMr && nr == kNr) {
-            micro_kernel_full(abuf + i * kb, bbuf + j, kb, nb, ctile, n);
-          } else {
-            micro_kernel_edge(abuf + i * kb, bbuf + j, kb, nb, mr, nr, ctile,
-                              n);
-          }
-        }
-      }
+      macro_kernel(abuf, bbuf, mb, nb, kb, cp + i0 * n + j0, n);
     }
     // Fused epilogue: the macro-block's rows are still hot in cache here,
     // so bias + activation cost one read-modify-write instead of the extra

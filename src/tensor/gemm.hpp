@@ -1,15 +1,25 @@
 // Single-precision general matrix multiply.
 //
 // C = alpha * op(A) * op(B) + beta * C, with op in {identity, transpose}.
-// The kernel is cache-blocked with an inner micro-kernel the compiler can
-// vectorise; it is the workhorse behind every fully-connected layer in
-// src/nn. Correctness is checked against a naive reference in the tests
-// and throughput is tracked in bench/micro_kernels.
+// The kernel is cache-blocked around a register-tiled vector micro-kernel;
+// it is the workhorse behind every fully-connected layer in src/nn.
+// Correctness is checked against a naive reference and, bit for bit,
+// against a scalar model of the accumulation order below
+// (tests/test_tensor.cpp); throughput is tracked in bench/micro_kernels.
 #pragma once
 
 #include "tensor/tensor.hpp"
 
 namespace ltfb::tensor {
+
+/// Accumulation order, fixed at every pool size and tiling: C is first
+/// scaled by beta (zeroed when beta == 0), then each element C(i,j) takes
+/// its k terms in consecutive blocks of kGemmBlockK. A block sums
+/// (alpha * op(A)(i,kk)) * op(B)(kk,j) from zero in increasing kk with one
+/// multiply-add each, and the block sum is added into C(i,j). Any epilogue
+/// runs last. Only how M and N are tiled may change; the block length and
+/// the k order may not, since they decide every rounding.
+inline constexpr std::size_t kGemmBlockK = 128;
 
 enum class Op { None, Transpose };
 

@@ -11,6 +11,7 @@
 #include "tensor/gemm.hpp"
 #include "tensor/half.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/simd.hpp"
 #include "tensor/tensor.hpp"
 #include "util/compute_pool.hpp"
 #include "util/rng.hpp"
@@ -579,6 +580,94 @@ TEST(GemmEpilogue, EmptyEpilogueMatchesPlainGemm) {
   gemm(Op::None, Op::None, 1.0f, a, b, 0.0f, c1, Epilogue{});
   gemm(Op::None, Op::None, 1.0f, a, b, 0.0f, c2);
   for (std::size_t i = 0; i < c1.size(); ++i) EXPECT_EQ(c1[i], c2[i]);
+}
+
+// ---- gemm accumulation-order conformance -------------------------------------
+
+// Scalar model of the accumulation contract in gemm.hpp: C scaled by beta
+// (through tensor::scale, as a separate rounded pass), then per element the
+// k terms in kGemmBlockK blocks, each summed from zero in k order with the
+// kernel's multiply-add expression over alpha-folded A values and added
+// into C, then the epilogue.
+void gemm_contract_model(Op op_a, Op op_b, float alpha, const Tensor& a,
+                         const Tensor& b, float beta, Tensor& c,
+                         const Epilogue& ep) {
+  const std::size_t m = c.rows(), n = c.cols();
+  const std::size_t k = op_a == Op::None ? a.cols() : a.rows();
+  if (beta == 0.0f) {
+    std::fill(c.data().begin(), c.data().end(), 0.0f);
+  } else if (beta != 1.0f) {
+    scale(beta, c.data());
+  }
+  const float* ap = a.raw();
+  const float* bp = b.raw();
+  float* cp = c.raw();
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t k0 = 0; k0 < k; k0 += kGemmBlockK) {
+        simd::vec<1> block = simd::vec<1>::zero();
+        for (std::size_t kk = k0; kk < std::min(k, k0 + kGemmBlockK); ++kk) {
+          float av = op_a == Op::None ? ap[i * a.cols() + kk]
+                                      : ap[kk * a.cols() + i];
+          if (alpha != 1.0f) av *= alpha;
+          const float bv = op_b == Op::None ? bp[kk * b.cols() + j]
+                                            : bp[j * b.cols() + kk];
+          block = block.mul_add(simd::vec<1>{av}, simd::vec<1>{bv});
+        }
+        cp[i * n + j] += block.v;
+      }
+    }
+  }
+  reference_epilogue(c, ep);
+}
+
+// The blocked kernel is free to tile M and N, pad and pack as it likes,
+// but must reproduce the contract's roundings exactly at this build's SIMD
+// width: partial register tiles in m and n, partial and multiple k blocks,
+// all four transpose pairs, alpha != 1, every beta path, with and without
+// an epilogue.
+TEST(GemmConformance, MatchesScalarAccumulationModelBitForBit) {
+  const std::tuple<std::size_t, std::size_t, std::size_t> shapes[] = {
+      {67, 207, 300}, {3, 1, 129}, {130, 5, 20}, {1, 1, 1},
+      {13, 17, 256},  {64, 128, 257}, {7, 20, 385}};
+  const std::pair<Op, Op> ops[] = {{Op::None, Op::None},
+                                   {Op::Transpose, Op::None},
+                                   {Op::None, Op::Transpose},
+                                   {Op::Transpose, Op::Transpose}};
+  for (const auto& [m, n, k] : shapes) {
+    Tensor a_n(m, k), a_t(k, m), b_n(k, n), b_t(n, k), c0(m, n), bias(1, n);
+    fill_random(a_n, m * 3 + k);
+    fill_random(a_t, m * 5 + k);
+    fill_random(b_n, n * 7 + k);
+    fill_random(b_t, n * 11 + k);
+    fill_random(c0, m * 13 + n);
+    fill_random(bias, n);
+    for (const auto& [op_a, op_b] : ops) {
+      const Tensor& a = op_a == Op::None ? a_n : a_t;
+      const Tensor& b = op_b == Op::None ? b_n : b_t;
+      for (const float alpha : {1.0f, 0.75f, -1.5f}) {
+        for (const float beta : {0.0f, 0.5f, 1.0f}) {
+          for (const bool fused : {false, true}) {
+            Epilogue ep;
+            if (fused) {
+              ep.bias = bias.raw();
+              ep.act = EpilogueAct::LeakyRelu;
+            }
+            Tensor got = c0, want = c0;
+            gemm(op_a, op_b, alpha, a, b, beta, got, ep);
+            gemm_contract_model(op_a, op_b, alpha, a, b, beta, want, ep);
+            for (std::size_t i = 0; i < got.size(); ++i) {
+              ASSERT_EQ(got[i], want[i])
+                  << m << "x" << n << "x" << k << " op_a=" << int(op_a)
+                  << " op_b=" << int(op_b) << " alpha=" << alpha
+                  << " beta=" << beta << " fused=" << fused << " element "
+                  << i;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
