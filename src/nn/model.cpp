@@ -143,6 +143,11 @@ void Model::backward(const BackwardHook& hook, Gradients wanted) {
     const auto parents = parent_outputs(node);
     grad_inputs.clear();
     node.layer->backward(parents, node.grad_accumulator, grad_inputs, needs);
+    // The sweep has consumed this node's gradient: a later sweep (the
+    // critic's fake-batch pass after its real-batch one) must propagate
+    // only what is added after this one. Input layers keep theirs for
+    // input_gradient().
+    if (!node.parents.empty()) node.has_grad = false;
     if (hook) {
       // This layer's weight gradients are final (only its own backward
       // writes them): hand them to the overlap seam before computing the

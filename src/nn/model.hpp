@@ -74,7 +74,10 @@ class Model {
   /// Registers dL/d(output of `id`); accumulated if called twice.
   void add_output_gradient(LayerId id, const tensor::Tensor& grad);
 
-  /// Reverse sweep from all registered output gradients. `wanted` names the
+  /// Reverse sweep from all registered output gradients, which it
+  /// consumes: a second sweep before zero_gradients() propagates only the
+  /// output gradients added since the first, and adds its weight (and
+  /// input) gradients onto the first sweep's. `wanted` names the
   /// gradients the caller reads. Weights skips the input-gradient work of
   /// every layer fed only by input layers (input_gradient() then throws);
   /// Inputs skips every weight-gradient GEMM and bias sum, for a model that

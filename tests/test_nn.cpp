@@ -513,6 +513,59 @@ TEST(Model, FanOutGradientsAccumulate) {
   EXPECT_FLOAT_EQ(weights[0]->gradient()[0], 6.0f);
 }
 
+// Two forward/backward passes between zero_gradients() — the CycleGAN
+// critic's real-batch then fake-batch update — accumulate exactly the two
+// passes' gradients: each sweep back-propagates only the output gradient
+// added since the previous sweep, through its own batch's activations.
+// Input layers keep accumulating across sweeps, like weights.
+TEST(Model, AccumulatingBackwardsSumSinglePasses) {
+  auto build = [] {
+    Model model("critic", 31);
+    const LayerId in = model.add_input(6);
+    const LayerId h1 = model.add_dense(in, 8, ActivationKind::LeakyRelu);
+    const LayerId h2 = model.add_dense(h1, 4, ActivationKind::LeakyRelu);
+    model.add_linear(h2, 1);
+    return model;
+  };
+  const Tensor real = random_batch(5, 6, 41);
+  const Tensor fake = random_batch(5, 6, 42);
+  auto pass = [](Model& model, const Tensor& x, float label,
+                 Gradients wanted) {
+    const LayerId out = model.layer_count() - 1;
+    model.forward({&x}, true);
+    Tensor grad;
+    bce_with_logits(model.output(out), label, &grad);
+    model.add_output_gradient(out, grad);
+    model.backward(wanted);
+  };
+  for (const Gradients wanted : {Gradients::Weights, Gradients::Both}) {
+    Model both = build(), real_only = build(), fake_only = build();
+    for (Model* model : {&both, &real_only, &fake_only}) {
+      model->zero_gradients();
+    }
+    pass(both, real, 1.0f, wanted);
+    pass(both, fake, 0.0f, wanted);
+    pass(real_only, real, 1.0f, wanted);
+    pass(fake_only, fake, 0.0f, wanted);
+    const auto got = both.flatten_gradients();
+    const auto g_real = real_only.flatten_gradients();
+    const auto g_fake = fake_only.flatten_gradients();
+    ASSERT_EQ(got.size(), g_real.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_NEAR(got[i], g_real[i] + g_fake[i], 1e-6f)
+          << "parameter " << i << " wanted=" << static_cast<int>(wanted);
+    }
+    if (wanted == Gradients::Both) {
+      const Tensor& dx = both.input_gradient(0);
+      const Tensor& dx_real = real_only.input_gradient(0);
+      const Tensor& dx_fake = fake_only.input_gradient(0);
+      for (std::size_t i = 0; i < dx.size(); ++i) {
+        EXPECT_NEAR(dx[i], dx_real[i] + dx_fake[i], 1e-6f) << "input " << i;
+      }
+    }
+  }
+}
+
 TEST(Model, TrainingReducesLossOnRegression) {
   Model model("m", 15);
   const LayerId in = model.add_input(1);
