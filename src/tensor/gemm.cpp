@@ -94,31 +94,27 @@ alignas(64) thread_local std::array<float, kBlockK * kBlockN> tl_bbuf;
 void pack_a(Op op, const Tensor& a, float alpha, std::size_t i0,
             std::size_t mb, std::size_t k0, std::size_t kb, float* buf) {
   const std::size_t lda = a.cols();
-  const float* src = a.raw();
+  // op(A)(i0 + r, k0 + kk) sits at base[r * rs + kk * ks].
+  const std::size_t rs = op == Op::None ? lda : 1;
+  const std::size_t ks = op == Op::None ? 1 : lda;
+  const float* base = a.raw() + i0 * rs + k0 * ks;
   for (std::size_t p = 0; p < mb; p += kMr) {
     const std::size_t rows = std::min(kMr, mb - p);
+    const float* src = base + p * rs;
     float* panel = buf + p * kb;
-    if (rows < kMr) std::fill_n(panel, kMr * kb, 0.0f);
-    if (op == Op::None) {
-      const float* row = src + (i0 + p) * lda + k0;
-      if (rows == kMr) {
-        for (std::size_t kk = 0; kk < kb; ++kk) {
-          LTFB_GEMM_UNROLL
-          for (std::size_t r = 0; r < kMr; ++r) {
-            panel[kk * kMr + r] = row[r * lda + kk];
-          }
-        }
-      } else {
-        for (std::size_t r = 0; r < rows; ++r) {
-          for (std::size_t kk = 0; kk < kb; ++kk) {
-            panel[kk * kMr + r] = row[r * lda + kk];
-          }
+    if (rows == kMr) {
+      for (std::size_t kk = 0; kk < kb; ++kk) {
+        LTFB_GEMM_UNROLL
+        for (std::size_t r = 0; r < kMr; ++r) {
+          panel[kk * kMr + r] = src[r * rs + kk * ks];
         }
       }
     } else {
+      std::fill_n(panel, kMr * kb, 0.0f);
       for (std::size_t kk = 0; kk < kb; ++kk) {
-        const float* col = src + (k0 + kk) * lda + i0 + p;
-        for (std::size_t r = 0; r < rows; ++r) panel[kk * kMr + r] = col[r];
+        for (std::size_t r = 0; r < rows; ++r) {
+          panel[kk * kMr + r] = src[r * rs + kk * ks];
+        }
       }
     }
   }
