@@ -148,9 +148,21 @@ void pack_b(Op op, const Tensor& b, std::size_t k0, std::size_t kb,
       }
     }
   } else {
-    for (std::size_t j = 0; j < nb; ++j) {
+    // Full panels walk k outside the unrolled columns: every store is
+    // sequential, and the kNr source rows stream in parallel.
+    for (std::size_t q = 0; q < full; q += kNr) {
+      const float* cols = src + (j0 + q) * ldb + k0;
+      float* panel = buf + q * kb;
+      for (std::size_t kk = 0; kk < kb; ++kk) {
+        LTFB_GEMM_UNROLL
+        for (std::size_t c = 0; c < kNr; ++c) {
+          panel[kk * kNr + c] = cols[c * ldb + kk];
+        }
+      }
+    }
+    for (std::size_t j = full; j < nb; ++j) {
       const float* col = src + (j0 + j) * ldb + k0;
-      float* panel = buf + (j - j % kNr) * kb + j % kNr;
+      float* panel = buf + full * kb + (j - full);
       for (std::size_t kk = 0; kk < kb; ++kk) panel[kk * kNr] = col[kk];
     }
   }
