@@ -183,12 +183,7 @@ void micro_kernel(const float* LTFB_GEMM_RESTRICT a,
                   std::size_t mr, std::size_t nr, float* LTFB_GEMM_RESTRICT c,
                   std::size_t ldc) {
   using simd::vf;
-  vf acc[kMr][Nv];
-  LTFB_GEMM_UNROLL
-  for (std::size_t r = 0; r < kMr; ++r) {
-    LTFB_GEMM_UNROLL
-    for (std::size_t col = 0; col < Nv; ++col) acc[r][col] = vf::zero();
-  }
+  vf acc[kMr][Nv] = {};
   for (std::size_t kk = 0; kk < kb; ++kk) {
     const float* LTFB_GEMM_RESTRICT brow = b + kk * kNr;
     const float* LTFB_GEMM_RESTRICT acol = a + kk * kMr;
@@ -219,7 +214,7 @@ void micro_kernel(const float* LTFB_GEMM_RESTRICT a,
   }
   // Edge tile: spill the finished tile once (constant indices, so the
   // accumulators above stay in registers) and add its valid corner.
-  float tile[kMr][Nv * kW];
+  float tile[kMr][Nv * kW] = {};
   LTFB_GEMM_UNROLL
   for (std::size_t r = 0; r < kMr; ++r) {
     LTFB_GEMM_UNROLL
