@@ -416,8 +416,8 @@ void record_gemm_scaling_gauges() {
   // in back-to-back pairs so both sides of a ratio see the same clock and
   // machine load; the gauge is the median pair. Unlike the GFLOP/s floor it
   // does not move with the host's clock, so it can tell a kernel whose
-  // register tile spills to the stack (~0.2 of the probe under AVX2) from
-  // one that keeps it in registers.
+  // register tile spills to the stack (0.23-0.33 of the probe on a 4-vCPU
+  // AVX2 host) from one that keeps it in registers (0.59-0.77).
   std::vector<double> peaks, fracs;
   for (int pair = 0; pair < 5; ++pair) {
     peaks.push_back(probe_mul_add_gflops());
